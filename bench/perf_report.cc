@@ -33,7 +33,6 @@
 #include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
-#include "src/sim/shard.h"
 
 using namespace camo;
 
@@ -207,7 +206,7 @@ main(int argc, char **argv)
         root["setup"] = std::move(setup);
     }
 
-    // --- 3. sweep wall-clock, jobs=1 vs jobs=N vs procs=2 -------
+    // --- 3. sweep wall-clock, jobs=1 vs jobs=N ------------------
     std::vector<bench::SimJob> jobs;
     for (const char *adv : {"mcf", "libqt", "bzip", "apache"}) {
         for (const auto mit :
@@ -228,24 +227,15 @@ main(int argc, char **argv)
     const auto parallel = bench::sweep(jobs, fan);
     const double s_parallel = secondsSince(t0);
 
-    // Multi-process sharding (camosim --shard-procs): fork two
-    // shards, the same worker fan-out inside each.
-    constexpr unsigned kShardProcs = 2;
-    t0 = std::chrono::steady_clock::now();
-    const auto sharded = sim::runConfigsSharded(jobs, fan, kShardProcs);
-    const double s_sharded = secondsSince(t0);
-
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         camo_assert(sameMetrics(serial[i], parallel[i]),
                     "parallel sweep diverged at job ", i);
-        camo_assert(sameMetrics(serial[i], sharded[i]),
-                    "sharded sweep diverged at job ", i);
     }
 
     std::printf("\nsweep of %zu sims: jobs=1 %.2fs, jobs=%u %.2fs "
-                "(%.2fx), procs=%u %.2fs\n",
+                "(%.2fx)\n",
                 jobs.size(), s_serial, fan, s_parallel,
-                s_serial / s_parallel, kShardProcs, s_sharded);
+                s_serial / s_parallel);
 
     obs::json::Value sweep = obs::json::Value::makeObject();
     sweep["num_sims"] = obs::json::Value(
@@ -266,11 +256,7 @@ main(int argc, char **argv)
     } else {
         sweep["speedup"] = obs::json::Value(s_serial / s_parallel);
     }
-    sweep["shard_procs"] = obs::json::Value(
-        static_cast<std::uint64_t>(kShardProcs));
-    sweep["wall_clock_procs2_sec"] = obs::json::Value(s_sharded);
-    // Covers all three modes: jobs=1, jobs=N, and procs=2 were
-    // asserted metric-identical above.
+    // jobs=1 and jobs=N were asserted metric-identical above.
     sweep["results_identical"] = obs::json::Value(true);
     root["sweep"] = std::move(sweep);
 

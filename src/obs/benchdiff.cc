@@ -218,7 +218,6 @@ diffBenchReports(const json::Value &before, const json::Value &after,
     static const std::vector<MetricSpec> kSweep = {
         {"wall_clock_jobs1_sec", false, false},
         {"wall_clock_jobsN_sec", false, false},
-        {"wall_clock_procs2_sec", false, false},
         {"speedup", true, true},
     };
     for (const MetricSpec &spec : kSweep) {

@@ -23,8 +23,7 @@
 namespace camo::obs {
 
 /** Schema version written by bench/perf_report. v3 added the "setup"
- *  section (compiled-plan construction cost) and the sweep's
- *  multi-process sharding wall-clock. */
+ *  section (compiled-plan construction cost). */
 inline constexpr int kBenchSchemaVersion = 3;
 
 /** buildInfo() as a JSON object ("git_sha", "git_dirty", "compiler",

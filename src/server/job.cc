@@ -73,8 +73,6 @@ JobSpec::fromJson(const obs::json::Value &doc, JobSpec *out,
             ok = asU64(value, &spec.injectSeed);
         } else if (key == "timeout_ms") {
             ok = asU64(value, &spec.timeoutMs);
-        } else if (key == "shard_procs") {
-            ok = asU64(value, &spec.shardProcs);
         } else if (key == "crash_attempts") {
             ok = asU64(value, &spec.crashAttempts);
         } else {
@@ -119,8 +117,6 @@ JobSpec::toJson() const
         v["inject_seed"] = injectSeed;
     if (timeoutMs != 0)
         v["timeout_ms"] = timeoutMs;
-    if (shardProcs != 0)
-        v["shard_procs"] = shardProcs;
     if (crashAttempts != 0)
         v["crash_attempts"] = crashAttempts;
     return v;
@@ -129,9 +125,8 @@ JobSpec::toJson() const
 std::string
 JobSpec::cacheKey() const
 {
-    // timeoutMs and shardProcs are excluded: the deadline changes
-    // whether a result arrives, and the shard layout changes how it
-    // is computed — never its bytes. crashAttempts IS included — crashing
+    // timeoutMs is excluded: the deadline changes whether a result
+    // arrives, never its bytes. crashAttempts IS included — crashing
     // attempt 0 means the surviving attempt runs with a re-derived
     // seed, which changes the result.
     obs::json::Value v = obs::json::Value::makeObject();

@@ -47,11 +47,6 @@ struct JobSpec
     std::uint64_t injectSeed = 0; ///< 0 = effective seed
     /** Wall-clock deadline in milliseconds (0 = server default). */
     std::uint64_t timeoutMs = 0;
-    /** Execution hint, like timeoutMs: processes the runner may fork
-     *  for multi-run phases (camosim --shard-procs). Sharding is
-     *  byte-invisible to results, so this never enters the cache
-     *  key. 0 = in-process only. */
-    std::uint64_t shardProcs = 0;
     /** Test hook for the chaos soak: the worker dies with a real
      *  SIGSEGV while attempt < crashAttempts, exercising the
      *  crash-isolation and retry paths with a genuine signal death. */

@@ -42,17 +42,6 @@ inline constexpr unsigned kDefaultWorkerAttempts = 3;
 inline constexpr std::uint64_t kRetrySeedStream = 0xFA117;
 
 /**
- * Seed stream id for the multi-process shard protocol
- * (src/sim/shard.h): each forked shard authenticates its result
- * frame with deriveSeed(base, kShardSeedStream, shard). Never feeds a
- * simulation RNG — job seeds are byte-identical with and without
- * sharding — but it draws from the same deriveSeed space as the
- * sweep (stream 0), GA (generation + 1), and retry streams, so it
- * must stay disjoint from them (tests pin this).
- */
-inline constexpr std::uint64_t kShardSeedStream = 0xD15C0;
-
-/**
  * Worker count used when a caller passes jobs == 0: the CAMO_JOBS
  * environment variable if set to a positive integer, otherwise
  * std::thread::hardware_concurrency() (at least 1).
@@ -248,8 +237,8 @@ std::vector<double> evaluateGenerationParallel(
  * Fitness of one offline-GA child: decode its genome into per-core
  * bins, instantiate the plan with seed deriveSeed(seed, generation+1,
  * child), run one epoch, score -average MISE slowdown. The single
- * evaluation path shared by the threaded and sharded evaluators, so
- * their results are byte-identical.
+ * evaluation path of evaluateGenerationParallel, so a child scored
+ * alone matches its score inside a generation byte for byte.
  */
 double evaluateGaChild(const SystemPlan &plan, const ga::Genome &genome,
                        std::uint64_t generation, std::size_t child,

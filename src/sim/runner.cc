@@ -10,7 +10,6 @@
 #include "src/security/leakage_bound.h"
 #include "src/sim/parallel.h"
 #include "src/sim/plan.h"
-#include "src/sim/shard.h"
 
 namespace camo::sim {
 
@@ -320,7 +319,7 @@ OnlineGaResult
 runOfflineGa(const SystemConfig &cfg,
              const std::vector<std::string> &workloads,
              const ga::GaConfig &ga_cfg, Cycle epoch_cycles,
-             unsigned jobs, unsigned shard_procs)
+             unsigned jobs)
 {
     if (cfg.mitigation != Mitigation::BDC &&
         cfg.mitigation != Mitigation::ReqC &&
@@ -372,15 +371,15 @@ runOfflineGa(const SystemConfig &cfg,
                    static_cast<double>(epoch_cycles);
         });
 
-    // One plan for the whole search: every child evaluation (however
-    // it is fanned out) is a PlanOverrides instantiation.
+    // One plan for the whole search: every child evaluation is a
+    // PlanOverrides instantiation.
     const SystemPlan plan(cfg, workloads);
 
     OnlineGaResult result;
     for (std::size_t gen = 0; gen < ga_cfg.generations; ++gen) {
-        const std::vector<double> fitness = evaluateGenerationSharded(
+        const std::vector<double> fitness = evaluateGenerationParallel(
             plan, optimizer.population(), gen, alone_rate,
-            epoch_cycles, jobs, shard_procs);
+            epoch_cycles, jobs);
         double generation_best = -1e300;
         for (std::size_t child = 0; child < fitness.size(); ++child) {
             optimizer.setFitness(child, fitness[child]);

@@ -164,11 +164,7 @@ OnlineGaResult tuneOnline(System &system, const SystemConfig &cfg,
  *
  * The search compiles one SystemPlan for the whole run (workload
  * names parsed and trace files loaded once); every evaluation is a
- * cheap PlanOverrides instantiation. With shard_procs > 1 each
- * generation fans across that many forked processes
- * (src/sim/shard.h, camosim --shard-procs) — child seeds use global
- * child indices, so fitness values are byte-identical across
- * jobs=1 / threads=N / procs=N.
+ * cheap PlanOverrides instantiation.
  *
  * configPhaseLeakBoundBits is 0: offline search happens before
  * deployment, so an observer of the running system sees no
@@ -180,8 +176,7 @@ OnlineGaResult runOfflineGa(const SystemConfig &cfg,
                             const std::vector<std::string> &workloads,
                             const ga::GaConfig &ga_cfg,
                             Cycle epoch_cycles = 20000,
-                            unsigned jobs = 0,
-                            unsigned shard_procs = 1);
+                            unsigned jobs = 0);
 
 /** Configuration of the adaptive RUN_PHASE (paper Figure 8 + SIV-C). */
 struct AdaptiveConfig

@@ -20,7 +20,6 @@
 #include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
-#include "src/sim/shard.h"
 
 using namespace camo;
 
@@ -68,8 +67,8 @@ TEST(DeriveSeed, DeterministicDistinctAndNonZero)
 
 /** The engine's seed streams must never collide: stream 0 (sweep
  *  jobs / GA alone-rate), streams generation+1 (GA children),
- *  kRetrySeedStream (daemon retry re-derivation) and kShardSeedStream
- *  (shard frame authentication) each own a disjoint seed space. */
+ *  and kRetrySeedStream (daemon retry re-derivation) each own a
+ *  disjoint seed space. */
 TEST(DeriveSeed, StreamIdsAreDisjointAcrossEngineUses)
 {
     const std::uint64_t streams[] = {
@@ -78,7 +77,6 @@ TEST(DeriveSeed, StreamIdsAreDisjointAcrossEngineUses)
         2,    // GA generation 1 children
         9,    // a later generation
         sim::kRetrySeedStream,
-        sim::kShardSeedStream,
     };
     constexpr std::uint64_t kIndices = 64;
     for (const std::uint64_t base : {1ull, 0x9E3779B97F4A7C15ull}) {
@@ -93,7 +91,6 @@ TEST(DeriveSeed, StreamIdsAreDisjointAcrossEngineUses)
     // And the streams are pinned constants — a renumbering would
     // silently re-seed published experiments.
     EXPECT_EQ(sim::kRetrySeedStream, 0xFA117u);
-    EXPECT_EQ(sim::kShardSeedStream, 0xD15C0u);
 }
 
 TEST(ParallelMap, ResultsInSubmissionOrder)
@@ -184,6 +181,29 @@ TEST(RunConfigsParallel, MatchesSequentialExactly)
     for (std::size_t i = 0; i < batch.size(); ++i) {
         EXPECT_TRUE(sameMetrics(seq[i], one[i])) << "job " << i;
         EXPECT_TRUE(sameMetrics(seq[i], four[i])) << "job " << i;
+    }
+}
+
+TEST(RunConfigsParallel, ConfigErrorSurfacesToCaller)
+{
+    std::vector<sim::SimJob> batch;
+    for (std::size_t k = 0; k < 3; ++k) {
+        sim::SystemConfig cfg = sim::paperConfig();
+        cfg.seed = 1 + k;
+        batch.push_back(
+            {cfg, sim::adversaryMix("mcf", "astar"), 10000, 1000});
+    }
+    // Poison the middle job: the worker's ConfigError must reach the
+    // caller with its original text, not as a generic failure.
+    batch[1].workloads[1] = "webdiurnal:9";
+    try {
+        (void)sim::runConfigsParallel(batch, 2);
+        FAIL() << "poisoned batch was accepted";
+    } catch (const hard::ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "bad day length (instructions >= 24)"),
+                  std::string::npos)
+            << e.what();
     }
 }
 
@@ -294,108 +314,4 @@ TEST(SystemPlan, RejectsMalformedInputsLikeSystemDoes)
     ov.reqBinsPerCore =
         std::vector<shaper::BinConfig>(cfg.numCores + 1);
     EXPECT_THROW((void)plan.instantiate(ov), hard::ConfigError);
-}
-
-// ---------------------------------------------------------------
-// Multi-process sharding: byte-identity with the in-process engine
-// and structured child-error propagation
-// ---------------------------------------------------------------
-
-TEST(RunConfigsSharded, MatchesInProcessEngineExactly)
-{
-    std::vector<sim::SimJob> batch;
-    std::size_t k = 0;
-    for (const char *adv : {"mcf", "libqt", "bzip", "hmmer", "gcc"}) {
-        sim::SystemConfig cfg = sim::paperConfig();
-        cfg.mitigation = sim::Mitigation::BDC;
-        cfg.seed = sim::deriveSeed(5, 0, k++);
-        batch.push_back(
-            {cfg, sim::adversaryMix(adv, "astar"), kCycles, 5000});
-    }
-
-    const auto inproc = sim::runConfigsParallel(batch, 2);
-    const auto two = sim::runConfigsSharded(batch, 2, 2);
-    const auto three = sim::runConfigsSharded(batch, 1, 3);
-    // More shards than jobs degrades gracefully to one job per shard.
-    const auto many = sim::runConfigsSharded(batch, 1, 16);
-    ASSERT_EQ(two.size(), batch.size());
-    ASSERT_EQ(three.size(), batch.size());
-    ASSERT_EQ(many.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_TRUE(sameMetrics(inproc[i], two[i])) << "job " << i;
-        EXPECT_TRUE(sameMetrics(inproc[i], three[i])) << "job " << i;
-        EXPECT_TRUE(sameMetrics(inproc[i], many[i])) << "job " << i;
-    }
-}
-
-TEST(RunConfigsSharded, ChildConfigErrorSurfacesInParent)
-{
-    std::vector<sim::SimJob> batch;
-    for (std::size_t k = 0; k < 3; ++k) {
-        sim::SystemConfig cfg = sim::paperConfig();
-        cfg.seed = 1 + k;
-        batch.push_back(
-            {cfg, sim::adversaryMix("mcf", "astar"), 10000, 1000});
-    }
-    // Poison the middle job: its shard must report a structured
-    // ConfigError that the parent rethrows with the original text.
-    batch[1].workloads[1] = "webdiurnal:9";
-    try {
-        (void)sim::runConfigsSharded(batch, 1, 2);
-        FAIL() << "poisoned batch was accepted";
-    } catch (const hard::ConfigError &e) {
-        EXPECT_NE(std::string(e.what()).find(
-                      "bad day length (instructions >= 24)"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
-TEST(EvaluateGenerationSharded, MatchesInProcessEngineExactly)
-{
-    sim::SystemConfig cfg = sim::paperConfig();
-    cfg.mitigation = sim::Mitigation::ReqC;
-    const auto mix = sim::adversaryMix("mcf", "astar");
-    const sim::SystemPlan plan(cfg, mix);
-
-    const std::size_t genome_len = cfg.numCores * 10;
-    std::vector<ga::Genome> children;
-    for (std::uint32_t v : {1u, 2u, 3u, 4u, 5u})
-        children.push_back(ga::Genome(genome_len, v));
-    const std::vector<double> alone_rate(cfg.numCores, 0.01);
-
-    const auto inproc = sim::evaluateGenerationParallel(
-        cfg, mix, children, /*generation=*/2, alone_rate,
-        /*epoch=*/10000, 2);
-    const auto sharded = sim::evaluateGenerationSharded(
-        plan, children, /*generation=*/2, alone_rate,
-        /*epoch=*/10000, 1, 2);
-    EXPECT_EQ(inproc, sharded);
-}
-
-TEST(OfflineGa, ShardProcsInvariant)
-{
-    sim::SystemConfig cfg = sim::paperConfig();
-    cfg.mitigation = sim::Mitigation::BDC;
-    ga::GaConfig ga_cfg;
-    ga_cfg.generations = 2;
-    ga_cfg.populationSize = 6;
-    const auto mix = sim::adversaryMix("bzip", "astar");
-
-    const auto inproc =
-        sim::runOfflineGa(cfg, mix, ga_cfg, /*epoch=*/10000, 2);
-    const auto sharded = sim::runOfflineGa(cfg, mix, ga_cfg,
-                                           /*epoch=*/10000, 1,
-                                           /*shard_procs=*/2);
-
-    EXPECT_EQ(inproc.bestFitness, sharded.bestFitness);
-    EXPECT_EQ(inproc.generationBest, sharded.generationBest);
-    ASSERT_EQ(inproc.reqBinsPerCore.size(),
-              sharded.reqBinsPerCore.size());
-    for (std::size_t c = 0; c < inproc.reqBinsPerCore.size(); ++c) {
-        EXPECT_EQ(inproc.reqBinsPerCore[c].toString(),
-                  sharded.reqBinsPerCore[c].toString());
-        EXPECT_EQ(inproc.respBinsPerCore[c].toString(),
-                  sharded.respBinsPerCore[c].toString());
-    }
 }

@@ -154,6 +154,14 @@ TEST(JobSpecModel, FromJsonIsStrict)
     EXPECT_FALSE(JobSpec::fromJson(doc, &spec, &err));
     EXPECT_NE(err.find("cylces"), std::string::npos);
 
+    // So is a knob no worker reads: setting it must fail loudly
+    // instead of silently doing nothing.
+    obs::json::Value dead = obs::json::Value::makeObject();
+    dead["config"] = smallConfig();
+    dead["shard_procs"] = std::uint64_t{2};
+    EXPECT_FALSE(JobSpec::fromJson(dead, &spec, &err));
+    EXPECT_EQ(err, "unknown job field 'shard_procs'");
+
     // Wrong types are rejected.
     obs::json::Value bad = obs::json::Value::makeObject();
     bad["config"] = smallConfig();

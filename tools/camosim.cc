@@ -55,7 +55,6 @@
 #include "src/scenario/scenario.h"
 #include "src/sim/parallel.h"
 #include "src/sim/presets.h"
-#include "src/sim/shard.h"
 #include "src/sim/runner.h"
 #include "src/sim/topology.h"
 #include "src/trace/workloads.h"
@@ -102,7 +101,6 @@ struct Options
     std::size_t gaPopulation = 14;
     std::vector<bool> shapeCores; // empty = all
     unsigned jobs = 0;            // 0 = defaultJobs()
-    unsigned shardProcs = 1;      // 1 = in-process only
     std::uint32_t sweepSeeds = 0; // 0 = single run
     bool fastForward = true;
     bool help = false;
@@ -344,16 +342,6 @@ flagTable()
          "or core count)",
          [](Options &o, const std::string &v) {
              o.jobs = static_cast<unsigned>(parseU64Flag("--jobs", v));
-         }},
-        {"shard-procs", A::Value, "N",
-         "fork N processes for --sweep-seeds /\n--ga-offline (worker "
-         "threads run inside\neach); results are byte-identical to\n"
-         "--shard-procs=1",
-         [](Options &o, const std::string &v) {
-             o.shardProcs = static_cast<unsigned>(
-                 parseU64Flag("--shard-procs", v));
-             if (o.shardProcs == 0)
-                 throw UsageError("--shard-procs must be > 0");
          }},
         {"sweep-seeds", A::Value, "K",
          "run seeds seed..seed+K-1 in parallel\nand print one row per "
@@ -629,17 +617,6 @@ parseArgs(int argc, char **argv)
                 "faults still apply)");
         }
     }
-    if (opt.shardProcs > 1) {
-        if (opt.sweepSeeds == 0 && !opt.gaOffline) {
-            throw UsageError("--shard-procs needs --sweep-seeds or "
-                             "--ga-offline (the multi-run phases)");
-        }
-        if (!opt.injectSpec.empty()) {
-            throw UsageError(
-                "--shard-procs is incompatible with --inject "
-                "(injector state does not cross process boundaries)");
-        }
-    }
     if (opt.checkersRecover && opt.mitigation == sim::Mitigation::None)
         throw UsageError("--checkers=recover without a shaping "
                          "mitigation has nothing to degrade");
@@ -694,7 +671,7 @@ runCamosim(const Options &opt)
         const auto tuned =
             opt.gaOffline
                 ? sim::runOfflineGa(cfg, opt.workloads, ga_cfg, 20000,
-                                    opt.jobs, opt.shardProcs)
+                                    opt.jobs)
                 : sim::runOnlineGa(cfg, opt.workloads, ga_cfg);
         cfg.reqBinsPerCore = tuned.reqBinsPerCore;
         cfg.respBinsPerCore = tuned.respBinsPerCore;
@@ -718,11 +695,7 @@ runCamosim(const Options &opt)
             batch.push_back({c, opt.workloads, opt.cycles, opt.warmup});
         }
         const auto runs =
-            opt.shardProcs > 1
-                ? sim::runConfigsSharded(batch, opt.jobs,
-                                         opt.shardProcs)
-                : sim::runConfigsParallel(batch, opt.jobs,
-                                          injector.get());
+            sim::runConfigsParallel(batch, opt.jobs, injector.get());
         if (injector && injector->totalFired() > 0 && !opt.csv)
             std::printf("# faults fired: %s\n",
                         injector->summary().c_str());
