@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/security/mutual_information.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 
@@ -76,7 +77,7 @@ main()
         cfg.shapeCore = {false, true, true, true};
         cfg.reqBins = makeBins(n);
         cfg.recordTraffic = true;
-        sim::System system(cfg, mix);
+        sim::System system(sim::SystemPlan(cfg, mix));
         system.run(kRunCycles);
 
         double tput = 0.0;

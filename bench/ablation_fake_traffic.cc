@@ -20,6 +20,7 @@
 #include <cstdio>
 
 #include "src/security/mutual_information.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 
@@ -70,7 +71,8 @@ runCase(bool fakes, Cycle period, double budget_scale)
     if (cfg.reqBins.totalCredits() == 0)
         cfg.reqBins.credits[0] = 1;
     cfg.recordTraffic = true;
-    sim::System system(cfg, sim::adversaryMix("bzip", "apache"));
+    sim::System system(
+        sim::SystemPlan(cfg, sim::adversaryMix("bzip", "apache")));
     system.run(kRunCycles);
 
     Outcome o;

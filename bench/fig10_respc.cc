@@ -20,6 +20,7 @@
 
 #include "src/common/stats.h"
 #include "src/sim/parallel.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 #include "src/trace/workloads.h"
@@ -36,7 +37,7 @@ responseBinsOfMix(const std::string &adv, const std::string &victim)
 {
     sim::SystemConfig cfg = sim::paperConfig();
     cfg.recordTraffic = true;
-    sim::System system(cfg, sim::adversaryMix(adv, victim));
+    sim::System system(sim::SystemPlan(cfg, sim::adversaryMix(adv, victim)));
     system.run(kMeasureCycles);
     return sim::binsFromMonitor(system.responseMonitor(0),
                                 kMeasureCycles,

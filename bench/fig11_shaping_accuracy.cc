@@ -15,6 +15,7 @@
 #include "src/camouflage/bin_config.h"
 #include "src/common/histogram.h"
 #include "src/security/divergence.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 #include "src/trace/workloads.h"
@@ -43,7 +44,7 @@ main()
         cfg.mitigation = sim::Mitigation::ReqC;
         cfg.reqBins = desired;
         cfg.numCores = 1;
-        sim::System system(cfg, {name});
+        sim::System system(sim::SystemPlan(cfg, {name}));
         system.run(400000);
 
         const auto &pre = system.intrinsicMonitor(0).histogram();

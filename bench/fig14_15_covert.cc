@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/security/covert_receiver.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 #include "src/trace/covert.h"
@@ -62,7 +63,8 @@ runAttack(std::uint32_t key, bool shaped, Cycle window = 2500,
     }
     // Core 0: covert sender; core 1: probing receiver; cores 2-3 are
     // light background load.
-    sim::System system(cfg, {name, "probe", "sjeng", "sjeng"});
+    sim::System system(
+        sim::SystemPlan(cfg, {name, "probe", "sjeng", "sjeng"}));
     system.run(kRunCycles);
 
     AttackResult result;

@@ -20,6 +20,7 @@
 
 #include "src/security/mutual_information.h"
 #include "src/sim/parallel.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 
@@ -44,7 +45,8 @@ evaluate(const std::string &label, sim::SystemConfig cfg)
 {
     cfg.recordTraffic = true;
     cfg.recordLatencies = true;
-    sim::System system(cfg, sim::adversaryMix("probe", "apache"));
+    sim::System system(
+        sim::SystemPlan(cfg, sim::adversaryMix("probe", "apache")));
     system.run(kRunCycles);
 
     Point p;

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "src/common/histogram.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 
@@ -38,7 +39,8 @@ observed(sim::Mitigation mit)
     cfg.mitigation = mit;
     if (mit == sim::Mitigation::CS || mit == sim::Mitigation::ReqC)
         cfg.shapeCore = {false, true, true, true};
-    sim::System system(cfg, sim::adversaryMix("astar", "omnetpp"));
+    sim::System system(
+        sim::SystemPlan(cfg, sim::adversaryMix("astar", "omnetpp")));
     system.run(kRunCycles);
     // What the shared request channel (SC1) sees from the app. Under
     // TP the queueing shows up in the *service* gaps, so observe the

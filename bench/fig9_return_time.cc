@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 
@@ -35,7 +36,8 @@ adversaryLatencies(const std::string &victim, bool respc,
         cfg.shapeCore = {true, false, false, false}; // shape the ADV
         cfg.respBins = *resp_bins;
     }
-    sim::System system(cfg, sim::adversaryMix(kAdversary, victim));
+    sim::System system(
+        sim::SystemPlan(cfg, sim::adversaryMix(kAdversary, victim)));
     system.run(kRunCycles);
     return system.latencyLog(0);
 }
@@ -47,7 +49,8 @@ measuredResponseBins(const std::string &victim)
     // the reference mix and program it as the RespC target.
     sim::SystemConfig cfg = sim::paperConfig();
     cfg.recordTraffic = true;
-    sim::System system(cfg, sim::adversaryMix(kAdversary, victim));
+    sim::System system(
+        sim::SystemPlan(cfg, sim::adversaryMix(kAdversary, victim)));
     system.run(kRunCycles / 2);
     return sim::binsFromMonitor(system.responseMonitor(0),
                                 kRunCycles / 2,

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/security/mutual_information.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 
@@ -46,7 +47,8 @@ referenceIntrinsic()
     static std::vector<shaper::TrafficEvent> events = [] {
         sim::SystemConfig cfg = sim::paperConfig();
         cfg.recordTraffic = true;
-        sim::System system(cfg, sim::adversaryMix("mcf", "bzip"));
+        sim::System system(
+            sim::SystemPlan(cfg, sim::adversaryMix("mcf", "bzip")));
         system.run(kRunCycles);
         return system.intrinsicMonitor(kProtected).events();
     }();
@@ -60,7 +62,8 @@ measure(sim::Mitigation mit, bool fakes, const Histogram &quantizer,
     if (mit == sim::Mitigation::None) {
         sim::SystemConfig cfg = sim::paperConfig();
         cfg.recordTraffic = true;
-        sim::System system(cfg, sim::adversaryMix("mcf", "bzip"));
+        sim::System system(
+            sim::SystemPlan(cfg, sim::adversaryMix("mcf", "bzip")));
         system.run(kRunCycles);
         if (windowed_bits) {
             *windowed_bits =
@@ -78,7 +81,7 @@ measure(sim::Mitigation mit, bool fakes, const Histogram &quantizer,
     cfg.recordTraffic = true;
     // Shape the protected application only, as in the paper's setup.
     cfg.shapeCore = {false, true, true, true};
-    sim::System system(cfg, sim::adversaryMix("mcf", "bzip"));
+    sim::System system(sim::SystemPlan(cfg, sim::adversaryMix("mcf", "bzip")));
     system.run(kRunCycles);
 
     if (windowed_bits) {

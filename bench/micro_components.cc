@@ -15,6 +15,7 @@
 #include "src/dram/device.h"
 #include "src/security/mutual_information.h"
 #include "src/sim/event_scheduler.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 
 using namespace camo;
@@ -88,7 +89,8 @@ BM_SystemSimulationRate(benchmark::State &state)
 {
     sim::SystemConfig cfg = sim::paperConfig();
     cfg.mitigation = sim::Mitigation::BDC;
-    sim::System system(cfg, sim::adversaryMix("mcf", "astar"));
+    sim::System system(
+        sim::SystemPlan(cfg, sim::adversaryMix("mcf", "astar")));
     for (auto _ : state)
         system.tick();
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

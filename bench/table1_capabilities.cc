@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/security/mutual_information.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 
@@ -60,7 +61,8 @@ evaluate(const std::string &name, sim::Mitigation mit,
 
     // Probe = the measuring adversary; apache's on/off phases are the
     // secret the side channel would carry.
-    sim::System system(cfg, sim::adversaryMix("probe", "apache"));
+    sim::System system(
+        sim::SystemPlan(cfg, sim::adversaryMix("probe", "apache")));
     system.run(kRunCycles);
 
     Row row;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/security/mutual_information.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 
@@ -41,7 +42,7 @@ main()
     sim::SystemConfig base_cfg = sim::paperConfig();
     base_cfg.recordTraffic = true;
     base_cfg.recordLatencies = true;
-    sim::System base(base_cfg, mix);
+    sim::System base(sim::SystemPlan(base_cfg, mix));
     base.run(kRunCycles);
     const double base_tenant_ipc = base.coreAt(1).ipc();
     double base_tput = 0;
@@ -83,7 +84,7 @@ main()
                 credits *= 2;
         }
 
-        sim::System system(cfg, mix);
+        sim::System system(sim::SystemPlan(cfg, mix));
         system.run(kRunCycles);
 
         const auto mi = security::computeWindowedCrossMi(

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "src/security/covert_receiver.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 #include "src/trace/covert.h"
@@ -50,7 +51,8 @@ attack(std::uint32_t key, bool defended, std::vector<bool> *decoded_out)
         // within one pulse (paper SIV-B4).
         cfg.reqBins = shaper::BinConfig::desired(8, 1.5, 2500);
     }
-    sim::System system(cfg, {sender, "probe", "sjeng", "sjeng"});
+    sim::System system(
+        sim::SystemPlan(cfg, {sender, "probe", "sjeng", "sjeng"}));
     system.run(kPulse * (kBits + 4));
 
     security::CovertDecoderConfig dec;

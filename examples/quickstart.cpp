@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "src/security/mutual_information.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 
@@ -23,14 +24,14 @@ main()
     // 1. Unprotected baseline: FR-FCFS, no shaping.
     sim::SystemConfig base_cfg = sim::paperConfig();
     base_cfg.recordTraffic = true;
-    sim::System baseline(base_cfg, mix);
+    sim::System baseline(sim::SystemPlan(base_cfg, mix));
     baseline.run(600000);
 
     // 2. The same machine protected by Bi-directional Camouflage.
     sim::SystemConfig camo_cfg = sim::paperConfig();
     camo_cfg.mitigation = sim::Mitigation::BDC;
     camo_cfg.recordTraffic = true;
-    sim::System protected_sys(camo_cfg, mix);
+    sim::System protected_sys(sim::SystemPlan(camo_cfg, mix));
     protected_sys.run(600000);
 
     std::printf("core | workload | baseline IPC | BDC IPC\n");

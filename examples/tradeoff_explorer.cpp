@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/security/mutual_information.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 #include "src/trace/workloads.h"
@@ -91,7 +92,7 @@ main(int argc, char **argv)
             cfg.shapeCore = {false, true, true, true};
             cfg.reqBins = shapeConfig(shape, budget);
             cfg.recordTraffic = true;
-            sim::System system(cfg, mix);
+            sim::System system(sim::SystemPlan(cfg, mix));
             system.run(kRunCycles);
 
             auto *sh = system.requestShaper(1);

@@ -229,12 +229,12 @@ diffBenchReports(const json::Value &before, const json::Value &after,
 
     // The compiled-plan setup cost (perf_report "setup" section,
     // schema v3). Per-sim wall-clocks are host absolutes; the
-    // legacy/plan speedup is a same-host ratio and gated — losing it
-    // means System construction started re-doing per-run work the
+    // one-shot/reused-plan speedup is a same-host ratio and gated —
+    // losing it means instantiation started re-doing per-run work the
     // SystemPlan layer exists to amortize.
     if (before.find("setup") || after.find("setup")) {
         static const std::vector<MetricSpec> kSetup = {
-            {"sec_per_sim_legacy", false, false},
+            {"sec_per_sim_oneshot", false, false},
             {"sec_per_sim_plan", false, false},
             {"speedup", true, true},
         };

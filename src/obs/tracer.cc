@@ -188,13 +188,7 @@ readBinaryTrace(std::istream &is)
     return out;
 }
 
-Tracer::Tracer(std::size_t capacity)
-    : capacity_(capacity), buf_(capacity)
-{
-    camo_assert(capacity >= 1, "tracer needs a ring buffer");
-}
-
-Tracer::Tracer(DeferRing, std::size_t capacity) : capacity_(capacity)
+Tracer::Tracer(std::size_t capacity) : capacity_(capacity)
 {
     camo_assert(capacity >= 1, "tracer needs a ring buffer");
 }

@@ -7,7 +7,8 @@
  * predictable branch when tracing is off — and compiles away entirely
  * under -DCAMO_OBS_NO_TRACING. With a sink attached, the ring drains
  * to it whenever it fills and on flush(); without one the ring keeps
- * the most recent `capacity` events (oldest dropped, counted).
+ * the most recent `capacity` events (oldest dropped, counted). The
+ * ring is allocated when tracing is first enabled.
  *
  * Sinks: JSONL (one object per line, the canonical analysis format),
  * CSV (loads directly into pandas/gnuplot for the Fig. 9/10 latency
@@ -85,17 +86,11 @@ class Tracer
   public:
     static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
+    /** The ring (~4 MB of Events at the default capacity) is
+     *  allocated on the first setEnabled(true), so a System that
+     *  never traces never pays for it. Safe because both emit() and
+     *  CAMO_TRACE_EVENT gate on enabled(). */
     explicit Tracer(std::size_t capacity = kDefaultCapacity);
-
-    /** Defer the ring allocation until setEnabled(true): the ring is
-     *  ~4MB of zero-initialized Events, which dominates System
-     *  construction cost, and sweep/GA runs never enable tracing.
-     *  Safe because both emit() and CAMO_TRACE_EVENT gate on
-     *  enabled(). */
-    struct DeferRing
-    {
-    };
-    Tracer(DeferRing, std::size_t capacity = kDefaultCapacity);
 
     ~Tracer();
 

@@ -7,6 +7,7 @@
 #include "src/security/covert_receiver.h"
 #include "src/security/mutual_information.h"
 #include "src/sim/runner.h"
+#include "src/sim/plan.h"
 #include "src/sim/system.h"
 #include "src/trace/covert.h"
 
@@ -170,7 +171,7 @@ measureOne(const ScenarioSpec &spec, const std::string &topology_json,
     sim::TopologyConfig topo = sim::parseTopology(topology_json);
     topo.system.recordLatencies = true; // the probe's observations
     topo.system.recordTraffic = true;   // the victim's intrinsic events
-    sim::System sys(topo);
+    sim::System sys(sim::SystemPlan(topo.system, topo.workloads));
     cap.metrics = sim::runAndMeasure(sys, cycles);
     cap.probeLatencies = sys.latencyLog(spec.probeCore);
     cap.victimIntrinsic = sys.intrinsicMonitor(spec.victimCore).events();

@@ -55,13 +55,6 @@ ComponentGraph::nextEventCycle(Cycle now, Cycle from) const
 }
 
 void
-ComponentGraph::skipIdleCycles(Cycle n)
-{
-    for (Component *c : order_)
-        c->skipIdleCycles(n);
-}
-
-void
 ComponentGraph::drain(Cycle now)
 {
     for (Component *c : order_)

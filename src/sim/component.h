@@ -229,7 +229,6 @@ class ComponentGraph
      *  components; early-out at `from`). */
     Cycle nextEventCycle(Cycle now, Cycle from) const;
 
-    void skipIdleCycles(Cycle n);
     void drain(Cycle now);
     void reset();
 

@@ -229,17 +229,4 @@ evaluateGenerationParallel(const SystemPlan &plan,
     });
 }
 
-std::vector<double>
-evaluateGenerationParallel(const SystemConfig &cfg,
-                           const std::vector<std::string> &workloads,
-                           const std::vector<ga::Genome> &children,
-                           std::uint64_t generation,
-                           const std::vector<double> &alone_rate,
-                           Cycle epoch_cycles, unsigned jobs)
-{
-    const SystemPlan plan(cfg, workloads);
-    return evaluateGenerationParallel(plan, children, generation,
-                                      alone_rate, epoch_cycles, jobs);
-}
-
 } // namespace camo::sim

@@ -207,26 +207,16 @@ runConfigsParallel(const std::vector<SimJob> &batch, unsigned jobs = 0,
                    hard::FaultInjector *injector = nullptr);
 
 /**
- * Evaluate one GA generation offline: each child genome runs in a
- * fresh System seeded deriveSeed(cfg.seed, generation + 1, child),
- * with the genome decoded into per-core bin configurations exactly as
- * tuneOnline() does. Fitness is -average MISE slowdown against the
- * supplied per-core alone service rates.
+ * Evaluate one GA generation offline over a pre-compiled plan (the
+ * offline GA builds one SystemPlan for the whole search): each child
+ * genome runs in a fresh System instantiated with seed
+ * deriveSeed(cfg.seed, generation + 1, child), with the genome decoded
+ * into per-core bin configurations exactly as tuneOnline() does.
+ * Fitness is -average MISE slowdown against the supplied per-core
+ * alone service rates.
  *
  * @param alone_rate per-core alone (highest-priority) service rate
  * @return fitness per child, index-aligned with `children`
- */
-std::vector<double> evaluateGenerationParallel(
-    const SystemConfig &cfg, const std::vector<std::string> &workloads,
-    const std::vector<ga::Genome> &children, std::uint64_t generation,
-    const std::vector<double> &alone_rate, Cycle epoch_cycles,
-    unsigned jobs = 0);
-
-/**
- * evaluateGenerationParallel over a pre-compiled plan: the offline GA
- * builds one SystemPlan for the whole search and every child is a
- * cheap PlanOverrides instantiation. Bit-exact with the config-based
- * overload (which delegates here).
  */
 std::vector<double> evaluateGenerationParallel(
     const SystemPlan &plan, const std::vector<ga::Genome> &children,

@@ -14,11 +14,6 @@ SystemPlan::SystemPlan(const SystemConfig &cfg,
         compiled_.push_back(trace::compileWorkload(name));
 }
 
-SystemPlan::SystemPlan(const TopologyConfig &topo)
-    : SystemPlan(topo.system, topo.workloads)
-{
-}
-
 SystemPlan::SystemPlan(const SystemConfig &cfg,
                        std::vector<std::string> workloads,
                        std::vector<trace::CompiledWorkload> compiled)
@@ -35,12 +30,6 @@ SystemPlan::compiled(std::uint32_t i) const
 {
     camo_assert(i < compiled_.size(), "core index out of range");
     return compiled_[i];
-}
-
-std::unique_ptr<System>
-SystemPlan::instantiate() const
-{
-    return instantiate(PlanOverrides{});
 }
 
 std::unique_ptr<System>

@@ -1,28 +1,17 @@
 /**
  * @file
- * Compiled system plan: the build-once half of System construction.
+ * Compiled system plan: the one way to build a System.
  *
  * A sweep (or GA generation) instantiates the same machine hundreds
  * of times, varying only the seed and — for the GA — the shaper bin
- * configurations. Before this layer, every instantiation re-parsed
- * workload names, re-validated the configuration, and (for
- * trace-replay workloads) re-read and re-parsed the trace file.
- * SystemPlan hoists all of that: it validates the SystemConfig and
- * compiles every workload name exactly once (trace::CompiledWorkload,
- * which loads trace files eagerly and shares the parsed items
- * immutably), and instantiate() then builds a fresh System per run
- * from the pre-compiled pieces.
- *
- * Plan-built systems are bit-exact with directly-built ones (tests
- * pin this): the per-core seeds and address bases are derived by the
- * same formulas, and CompiledWorkload::instantiate reproduces
- * trace::makeWorkload exactly. Two deliberate differences are
- * invisible to results:
- *  - the tracer ring allocation is deferred until setEnabled(true)
- *    (sweeps never enable tracing; the eager 4 MB zero-init dominated
- *    construction cost);
- *  - hot-path containers draw from the System's arena in both paths
- *    (src/common/arena.h), so allocation counts are identical.
+ * configurations. SystemPlan does the per-machine work once: it
+ * validates the SystemConfig and compiles every workload name
+ * (trace::CompiledWorkload, which loads trace files eagerly and
+ * shares the parsed items immutably). instantiate() — or
+ * `System(plan, overrides)` — then builds a fresh System per run from
+ * the pre-compiled pieces. A single run writes
+ * `System sys(SystemPlan(cfg, workloads));`: the System shares what
+ * it needs from the plan, so the plan may be a temporary.
  *
  * A SystemPlan is immutable after construction and safe to share
  * across threads: instantiate() is const and every worker builds its
@@ -34,30 +23,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "src/camouflage/bin_config.h"
 #include "src/sim/system.h"
 #include "src/trace/workloads.h"
 
 namespace camo::sim {
-
-/**
- * Per-run knobs of SystemPlan::instantiate(). Everything the sweep
- * and GA loops vary between runs of one plan; unset fields keep the
- * plan's values.
- */
-struct PlanOverrides
-{
-    /** Replaces SystemConfig::seed (sweep repetitions, GA children). */
-    std::optional<std::uint64_t> seed;
-    /** Replace the per-core shaper configurations (GA candidates).
-     *  Size must be numCores or empty. */
-    std::optional<std::vector<shaper::BinConfig>> reqBinsPerCore;
-    std::optional<std::vector<shaper::BinConfig>> respBinsPerCore;
-};
 
 /** The compiled, immutable half of System construction. */
 class SystemPlan
@@ -65,13 +37,12 @@ class SystemPlan
   public:
     /**
      * Validate `cfg` + `workloads` and compile every workload name.
-     * @throws hard::ConfigError exactly where System's legacy ctor
-     *         would (same messages), plus trace-load failures that
-     *         previously surfaced at first instantiation.
+     * @throws hard::ConfigError on a malformed configuration, an
+     *         unknown or malformed workload name, or a trace file
+     *         that fails to load.
      */
     SystemPlan(const SystemConfig &cfg,
                const std::vector<std::string> &workloads);
-    explicit SystemPlan(const TopologyConfig &topo);
 
     /**
      * Reuse an already-compiled workload mix (runConfigsParallel
@@ -100,9 +71,8 @@ class SystemPlan
      * @throws hard::ConfigError when an override is malformed (wrong
      *         per-core vector size).
      */
-    std::unique_ptr<System> instantiate() const;
     std::unique_ptr<System>
-    instantiate(const PlanOverrides &overrides) const;
+    instantiate(const PlanOverrides &overrides = {}) const;
 
   private:
     SystemConfig cfg_;

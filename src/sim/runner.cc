@@ -84,7 +84,7 @@ runConfig(const SystemConfig &cfg,
           const std::vector<std::string> &workloads, Cycle cycles,
           Cycle warmup)
 {
-    System system(cfg, workloads);
+    System system(SystemPlan(cfg, workloads));
     return runAndMeasure(system, cycles, warmup);
 }
 
@@ -129,7 +129,7 @@ unshapedIntrinsicEvents(const SystemConfig &cfg,
     SystemConfig ref = cfg;
     ref.mitigation = Mitigation::None;
     ref.recordTraffic = true;
-    System system(ref, workloads);
+    System system(SystemPlan(ref, workloads));
     system.run(cycles);
     return system.intrinsicMonitor(core).events();
 }
@@ -198,7 +198,7 @@ runOnlineGa(const SystemConfig &cfg,
             const std::vector<std::string> &workloads,
             const ga::GaConfig &ga_cfg, Cycle epoch_cycles)
 {
-    System system(cfg, workloads);
+    System system(SystemPlan(cfg, workloads));
     return tuneOnline(system, cfg, ga_cfg, epoch_cycles);
 }
 
@@ -414,7 +414,7 @@ runAdaptive(const SystemConfig &cfg,
             Cycle total_cycles, const AdaptiveConfig &adaptive)
 {
     AdaptiveResult result;
-    System system(cfg, workloads);
+    System system(SystemPlan(cfg, workloads));
 
     // Initial CONFIG_PHASE.
     tuneOnline(system, cfg, adaptive.ga, adaptive.epochCycles);

@@ -484,56 +484,22 @@ validateSystemConfig(const SystemConfig &cfg,
     }
 }
 
-System::System(const SystemConfig &cfg,
-               const std::vector<std::string> &workloads)
-    : cfg_(cfg), diagStream_(&std::cerr),
-      diagInstance_(nextDiagInstance())
-{
-    validateSystemConfig(cfg_, workloads.size());
-    buildTopology(workloads, nullptr);
-}
-
-System::System(const TopologyConfig &topo)
-    : System(topo.system, topo.workloads)
-{
-}
-
 System::System(const SystemPlan &plan, const PlanOverrides &overrides)
     : cfg_(plan.config()), diagStream_(&std::cerr),
       diagInstance_(nextDiagInstance())
 {
-    // The plan validated the base configuration; only the overrides
-    // can introduce new inconsistencies.
     if (overrides.seed)
         cfg_.seed = *overrides.seed;
-    if (overrides.reqBinsPerCore) {
-        if (!overrides.reqBinsPerCore->empty() &&
-            overrides.reqBinsPerCore->size() != cfg_.numCores) {
-            throw hard::ConfigError(
-                detail::fmt("reqBinsPerCore has ",
-                            overrides.reqBinsPerCore->size(),
-                            " entries but numCores is ",
-                            cfg_.numCores));
-        }
+    if (overrides.reqBinsPerCore)
         cfg_.reqBinsPerCore = *overrides.reqBinsPerCore;
-    }
-    if (overrides.respBinsPerCore) {
-        if (!overrides.respBinsPerCore->empty() &&
-            overrides.respBinsPerCore->size() != cfg_.numCores) {
-            throw hard::ConfigError(
-                detail::fmt("respBinsPerCore has ",
-                            overrides.respBinsPerCore->size(),
-                            " entries but numCores is ",
-                            cfg_.numCores));
-        }
+    if (overrides.respBinsPerCore)
         cfg_.respBinsPerCore = *overrides.respBinsPerCore;
-    }
-    buildTopology(plan.workloads(), &plan);
+    validateSystemConfig(cfg_, plan.workloads().size());
+    buildTopology(plan);
 }
 
 void
-System::buildTopology(const std::vector<std::string> &workloads,
-                      const SystemPlan *plan)
+System::buildTopology(const SystemPlan &plan)
 {
     // Baseline scheduler selection per mitigation.
     cfg_.mc.numCores = cfg_.numCores;
@@ -553,13 +519,7 @@ System::buildTopology(const std::vector<std::string> &workloads,
         break;
     }
 
-    // Plan instantiation defers the tracer ring (a ~4 MB zero-init
-    // that dominated construction; sweeps never enable tracing); the
-    // legacy path keeps the eager ring for identical first-enable
-    // latency. Both rings behave identically once enabled.
-    tracer_ = plan != nullptr
-                  ? std::make_unique<obs::Tracer>(obs::Tracer::DeferRing{})
-                  : std::make_unique<obs::Tracer>();
+    tracer_ = std::make_unique<obs::Tracer>();
     arena_ = std::make_unique<Arena>();
     mem_ = std::make_unique<mem::MemorySystem>(cfg_.mc, arena_.get());
     reqChannel_ = std::make_unique<noc::SharedChannel>(
@@ -579,12 +539,8 @@ System::buildTopology(const std::vector<std::string> &workloads,
         auto pc = std::make_unique<PerCore>(cfg_.reqBins.edges);
         // Disjoint 1 TiB address windows keep workloads from aliasing.
         const Addr base = static_cast<Addr>(i) << 40;
-        pc->trace = plan != nullptr
-                        ? plan->compiled(i).instantiate(
-                              cfg_.seed * 7919 + i, base)
-                        : trace::makeWorkload(workloads[i],
-                                              cfg_.seed * 7919 + i,
-                                              base);
+        pc->trace =
+            plan.compiled(i).instantiate(cfg_.seed * 7919 + i, base);
         pc->cache = std::make_unique<cache::CacheHierarchy>(
             i, cfg_.cache, arena_.get());
         pc->core = std::make_unique<core::Core>(i, cfg_.core, *pc->trace,

@@ -5,7 +5,8 @@
  *
  * The System is a declarative topology builder over the simulation
  * kernel (src/sim/component.h): construction instantiates N cores x M
- * memory channels from a SystemConfig/TopologyConfig and lays the
+ * memory channels from a compiled SystemPlan (src/sim/plan.h) and
+ * lays the
  * subsystems plus thin glue "stations" into one ordered
  * ComponentGraph. Execution is event-driven: run() seeds an
  * EventScheduler calendar from every component's nextEventCycle()
@@ -125,15 +126,30 @@ struct SystemConfig
 struct TopologyConfig
 {
     SystemConfig system;
-    /** One workload name per core (see trace::makeWorkload). */
+    /** One workload name per core (see trace::compileWorkload). */
     std::vector<std::string> workloads;
 };
 
 class SystemPlan;
-struct PlanOverrides;
 
-/** Shared by System's ctors and SystemPlan: the structural checks
- *  (core count, per-core vector sizes). @throws hard::ConfigError */
+/**
+ * Per-run knobs of SystemPlan::instantiate(). Everything the sweep
+ * and GA loops vary between runs of one plan; unset fields keep the
+ * plan's values.
+ */
+struct PlanOverrides
+{
+    /** Replaces SystemConfig::seed (sweep repetitions, GA children). */
+    std::optional<std::uint64_t> seed;
+    /** Replace the per-core shaper configurations (GA candidates).
+     *  Size must be numCores or empty. */
+    std::optional<std::vector<shaper::BinConfig>> reqBinsPerCore;
+    std::optional<std::vector<shaper::BinConfig>> respBinsPerCore;
+};
+
+/** The structural checks SystemPlan and System (after applying
+ *  PlanOverrides) run: core count, per-core vector sizes.
+ *  @throws hard::ConfigError */
 void validateSystemConfig(const SystemConfig &cfg,
                           std::size_t num_workloads);
 
@@ -142,20 +158,13 @@ class System : public WakeSink
 {
   public:
     /**
-     * @param workloads one workload name per core (see
-     *        trace::makeWorkload for accepted names).
+     * Build the machine a compiled plan (src/sim/plan.h) describes,
+     * with `overrides` applied. The plan may be a temporary: the
+     * System shares the compiled workloads it needs.
+     * @throws hard::ConfigError when an override is malformed.
      */
-    System(const SystemConfig &cfg,
-           const std::vector<std::string> &workloads);
-    /** Build the machine a TopologyConfig describes. */
-    explicit System(const TopologyConfig &topo);
-    /**
-     * Instantiate a compiled plan (src/sim/plan.h): skips workload
-     * parsing / trace loading / config validation (done once at plan
-     * build) and defers the tracer ring allocation. Bit-exact with
-     * the legacy ctors. Usually reached via SystemPlan::instantiate.
-     */
-    System(const SystemPlan &plan, const PlanOverrides &overrides);
+    explicit System(const SystemPlan &plan,
+                    const PlanOverrides &overrides = {});
     ~System();
 
     System(const System &) = delete;
@@ -412,10 +421,7 @@ class System : public WakeSink
         MemRequest resp;
     };
 
-    /** `plan` non-null = instantiate pre-compiled workloads and defer
-     *  the tracer ring; null = the legacy parse-and-build path. */
-    void buildTopology(const std::vector<std::string> &workloads,
-                       const SystemPlan *plan);
+    void buildTopology(const SystemPlan &plan);
     void drainCacheOutgoing(PerCore &pc);
     void feedRequestPath(PerCore &pc);
     void routeMcResponses();

@@ -475,10 +475,4 @@ CompiledWorkload::instantiate(std::uint64_t seed, Addr addr_base) const
     return std::make_unique<SyntheticWorkload>(p, seed);
 }
 
-std::unique_ptr<TraceSource>
-makeWorkload(const std::string &name, std::uint64_t seed, Addr addr_base)
-{
-    return compileWorkload(name).instantiate(seed, addr_base);
-}
-
 } // namespace camo::trace

@@ -7,7 +7,8 @@
  * qualitative memory character: demand intensity (LLC MPKI ordering:
  * mcf >> libquantum ~ omnetpp > apache > astar > gcc > bzip2 > hmmer >
  * h264ref > gobmk > sjeng), sequential vs pointer-chasing access, and
- * phase/burst structure.
+ * phase/burst structure. compileWorkload() is the one way to turn a
+ * workload name into trace sources.
  */
 
 #ifndef CAMO_TRACE_WORKLOADS_H
@@ -36,34 +37,6 @@ bool isKnownWorkload(const std::string &name);
 WorkloadParams workloadParams(const std::string &name);
 
 /**
- * Instantiate a workload trace.
- *
- * Accepted names:
- *  - the 11 benchmark names;
- *  - "probe" / "probe:N" (constant-rate measuring adversary, one
- *    load per N CPU cycles);
- *  - "covert:HEX" (Algorithm 1 sender with a 32-bit key, e.g.
- *    "covert:2AAAAAAA");
- *  - "hammer:HEX" (covert sender whose 1-pulses are a same-bank
- *    row-conflict storm — drives TRR/PRAC RowHammer mitigations);
- *  - "pim:HEX" / "pim:HEX:PULSE" (PIM-command covert sender,
- *    src/trace/pim.h; PULSE in CPU cycles, default 5000);
- *  - "dramsim2:PATH" / "champsim:PATH" / "gem5:PATH" (trace-file
- *    replay, src/trace/file_trace.h; PATH may be "@sample");
- *  - "webdiurnal" / "webdiurnal:DAY" (bursty web server following a
- *    24-hour load curve with flash crowds; DAY = instructions per
- *    simulated day, default 240000).
- *
- * Malformed parameterized names raise hard::ConfigError naming the
- * offending token and byte offset.
- *
- * @param addr_base keeps different cores' address spaces disjoint.
- */
-std::unique_ptr<TraceSource> makeWorkload(const std::string &name,
-                                          std::uint64_t seed,
-                                          Addr addr_base);
-
-/**
  * A workload name, parsed and validated once.
  *
  * Sweeps and the GA instantiate the same workload mix hundreds of
@@ -71,9 +44,7 @@ std::unique_ptr<TraceSource> makeWorkload(const std::string &name,
  * the name parsing, parameter validation, and (for "dramsim2:" /
  * "champsim:" / "gem5:" names) the trace-file load + parse exactly
  * once; instantiate() then builds a fresh TraceSource per run without
- * re-touching the filesystem. Instantiation is bit-exact with
- * makeWorkload (which now delegates here), so plan-built and
- * directly-built systems produce identical results.
+ * re-touching the filesystem.
  *
  * Copying a CompiledWorkload is cheap: parsed trace items are shared
  * immutably (std::shared_ptr), never duplicated.
@@ -95,8 +66,9 @@ class CompiledWorkload
     Kind kind() const { return kind_; }
     const std::string &name() const { return name_; }
 
-    /** Build a fresh per-run source. `seed` and `addr_base` play the
-     *  same roles as in makeWorkload. */
+    /** Build a fresh per-run source. `seed` drives the workload's
+     *  generators; `addr_base` keeps different cores' address
+     *  spaces disjoint. */
     std::unique_ptr<TraceSource> instantiate(std::uint64_t seed,
                                              Addr addr_base) const;
 
@@ -116,9 +88,28 @@ class CompiledWorkload
 };
 
 /**
- * Parse and validate `name` (same grammar as makeWorkload, identical
- * ConfigError texts), loading any trace file it references.
- * @throws hard::ConfigError on malformed or unknown names.
+ * Parse and validate a workload name, loading any trace file it
+ * references.
+ *
+ * Accepted names:
+ *  - the 11 benchmark names;
+ *  - "probe" / "probe:N" (constant-rate measuring adversary, one
+ *    load per N CPU cycles);
+ *  - "covert:HEX" (Algorithm 1 sender with a 32-bit key, e.g.
+ *    "covert:2AAAAAAA");
+ *  - "hammer:HEX" (covert sender whose 1-pulses are a same-bank
+ *    row-conflict storm — drives TRR/PRAC RowHammer mitigations);
+ *  - "pim:HEX" / "pim:HEX:PULSE" (PIM-command covert sender,
+ *    src/trace/pim.h; PULSE in CPU cycles, default 5000);
+ *  - "dramsim2:PATH" / "champsim:PATH" / "gem5:PATH" (trace-file
+ *    replay, src/trace/file_trace.h; PATH may be "@sample");
+ *  - "webdiurnal" / "webdiurnal:DAY" (bursty web server following a
+ *    24-hour load curve with flash crowds; DAY = instructions per
+ *    simulated day, default 240000).
+ *
+ * @throws hard::ConfigError on unknown names; a malformed
+ *         parameterized name names the offending token and byte
+ *         offset.
  */
 CompiledWorkload compileWorkload(const std::string &name);
 

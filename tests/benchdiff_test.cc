@@ -128,12 +128,12 @@ TEST(BenchDiff, SweepSpeedupNotGatedWithoutMatchingMultiJobCounts)
 
 TEST(BenchDiff, SetupSpeedupIsGatedAndWallClocksAreNot)
 {
-    auto with_setup = [](double legacy, double plan) {
+    auto with_setup = [](double oneshot, double plan) {
         Value r = report(2.0);
         Value setup = Value::makeObject();
-        setup["sec_per_sim_legacy"] = Value(legacy);
+        setup["sec_per_sim_oneshot"] = Value(oneshot);
         setup["sec_per_sim_plan"] = Value(plan);
-        setup["speedup"] = Value(legacy / plan);
+        setup["speedup"] = Value(oneshot / plan);
         r["setup"] = std::move(setup);
         return r;
     };

@@ -17,6 +17,7 @@
 
 #include "src/obs/registry.h"
 #include "src/obs/tracer.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 
@@ -86,7 +87,8 @@ observableSurface(sim::SystemConfig cfg, bool fast_forward)
 {
     cfg.fastForward = fast_forward;
     cfg.recordLatencies = true;
-    sim::System system(cfg, sim::adversaryMix("mcf", "astar"));
+    sim::System system(
+        sim::SystemPlan(cfg, sim::adversaryMix("mcf", "astar")));
 
     std::ostringstream trace;
     system.tracer().setSink(
@@ -156,7 +158,8 @@ TEST(FastForward, SlicedRunsMatchMonolithicRun)
     cfg.mitigation = sim::Mitigation::BDC;
 
     auto surface = [&](const std::vector<Cycle> &slices) {
-        sim::System system(cfg, sim::adversaryMix("probe", "apache"));
+        sim::System system(
+            sim::SystemPlan(cfg, sim::adversaryMix("probe", "apache")));
         for (const Cycle s : slices)
             system.run(s);
         obs::StatRegistry reg;

@@ -26,6 +26,7 @@
 #include "src/hard/watchdog.h"
 #include "src/security/mutual_information.h"
 #include "src/sim/parallel.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 
@@ -489,8 +490,8 @@ std::unique_ptr<sim::System>
 makeHardened(const sim::SystemConfig &cfg, FaultInjector *injector,
              bool checkers, Cycle watchdog_window)
 {
-    auto sys = std::make_unique<sim::System>(
-        cfg, std::vector<std::string>{"mcf", "astar"});
+    auto sys = std::make_unique<sim::System>(sim::SystemPlan(
+        cfg, std::vector<std::string>{"mcf", "astar"}));
     sys->setDiagnosticStream(nullptr);
     if (checkers)
         sys->enableCheckers(CheckerConfig{});
@@ -509,7 +510,7 @@ TEST(SystemHardening, CheckersAreBitExactOnCleanRuns)
     const Cycle cycles = 200000;
     sim::SystemConfig cfg = twoCoreBdc();
 
-    sim::System plain(cfg, {"mcf", "astar"});
+    sim::System plain(sim::SystemPlan(cfg, {"mcf", "astar"}));
     plain.run(cycles);
 
     auto hardened = makeHardened(cfg, nullptr, true, 1000000);
@@ -584,7 +585,7 @@ TEST(FaultMatrix, CorruptedCreditsDegradeUnderRecoverPolicy)
 {
     FaultInjector inj(
         FaultPlan::parse("corrupt-credits:at=60000:core=0", 9));
-    sim::System sys(twoCoreBdc(), {"mcf", "astar"});
+    sim::System sys(sim::SystemPlan(twoCoreBdc(), {"mcf", "astar"}));
     sys.setDiagnosticStream(nullptr);
     CheckerConfig cc;
     cc.recoverShaper = true;
@@ -654,8 +655,8 @@ TEST(FaultMatrix, OffScheduleFakeTripsTheConservationChecker)
     cfg.fakeTraffic = false; // any fake on the bus is now illegal
     FaultInjector inj(
         FaultPlan::parse("force-fake:at=60000:core=0", 9));
-    auto sys = std::make_unique<sim::System>(
-        cfg, std::vector<std::string>{"mcf", "astar"});
+    auto sys = std::make_unique<sim::System>(sim::SystemPlan(
+        cfg, std::vector<std::string>{"mcf", "astar"}));
     sys->setDiagnosticStream(nullptr);
     sys->enableCheckers(CheckerConfig{});
     sys->setFaultInjector(&inj);
@@ -719,7 +720,7 @@ TEST(FailSecure, DegradedScheduleLeaksNoMoreThanDesired)
 
     sim::SystemConfig base = sim::paperConfig();
     base.recordTraffic = true;
-    sim::System unshaped(base, mix);
+    sim::System unshaped(sim::SystemPlan(base, mix));
     unshaped.run(300000);
 
     auto shapedMi = [&](const shaper::BinConfig &bins) {
@@ -728,7 +729,7 @@ TEST(FailSecure, DegradedScheduleLeaksNoMoreThanDesired)
         cfg.recordTraffic = true;
         cfg.shapeCore = {false, true, true, true};
         cfg.reqBins = bins;
-        sim::System shaped(cfg, mix);
+        sim::System shaped(sim::SystemPlan(cfg, mix));
         shaped.run(600000);
         return security::computeShapingMi(
             unshaped.intrinsicMonitor(1).events(),

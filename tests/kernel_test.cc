@@ -28,6 +28,7 @@
 #include "src/sim/port.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
+#include "src/sim/plan.h"
 #include "src/sim/system.h"
 #include "src/sim/topology.h"
 
@@ -196,7 +197,7 @@ TEST(SyntheticComponent, RidesEveryPlumbingPath)
 {
     SystemConfig cfg = paperConfig();
     cfg.mitigation = Mitigation::BDC;
-    System sys(cfg, adversaryMix("mcf", "astar"));
+    System sys(SystemPlan(cfg, adversaryMix("mcf", "astar")));
 
     auto owned = std::make_unique<Probe>();
     Probe *probe = static_cast<Probe *>(&sys.addComponent(std::move(owned)));
@@ -237,7 +238,7 @@ TEST(SyntheticComponent, TickedEveryCycleWithoutFastForward)
 {
     SystemConfig cfg = paperConfig();
     cfg.fastForward = false;
-    System sys(cfg, adversaryMix("astar", "astar"));
+    System sys(SystemPlan(cfg, adversaryMix("astar", "astar")));
     auto owned = std::make_unique<Probe>();
     Probe *probe = static_cast<Probe *>(&sys.addComponent(std::move(owned)));
     sys.run(5000);
@@ -266,11 +267,11 @@ TEST(FastForwardSoundness, StatsTreeIdenticalUnderRandomSeeds)
         const auto mix = adversaryMix(trial % 2 ? "mcf" : "bzip", "astar");
 
         cfg.fastForward = true;
-        System fast(cfg, mix);
+        System fast(SystemPlan(cfg, mix));
         fast.run(25000);
 
         cfg.fastForward = false;
-        System slow(cfg, mix);
+        System slow(SystemPlan(cfg, mix));
         slow.run(25000);
 
         ASSERT_EQ(summaryJson(fast, mix).dump(2),
@@ -352,7 +353,7 @@ TEST(Topology, EightCoresFourChannelsRunEndToEnd)
         "seed": 3,
         "workload": "astar"
     })");
-    System sys(topo);
+    System sys(SystemPlan(topo.system, topo.workloads));
     EXPECT_EQ(sys.numCores(), 8u);
     EXPECT_EQ(sys.memory().numChannels(), 4u);
     sys.run(30000);
@@ -384,7 +385,7 @@ TEST(GoldenStats, ByteIdenticalForAllMitigations)
         SystemConfig cfg = paperConfig();
         cfg.mitigation = m;
         cfg.seed = 1;
-        System sys(cfg, mix);
+        System sys(SystemPlan(cfg, mix));
         runAndMeasure(sys, 60000, 5000);
         const std::string got = summaryJson(sys, mix).dump(2) + "\n";
 

@@ -20,6 +20,7 @@
 #include "src/hard/error.h"
 #include "src/obs/leakmon.h"
 #include "src/security/mutual_information.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 
@@ -51,9 +52,9 @@ runCovert(bool shaped, const obs::LeakMonitorConfig &lc,
 {
     sim::SystemConfig cfg = covertConfig(shaped);
     cfg.fastForward = fast_forward;
-    auto system = std::make_unique<sim::System>(
+    auto system = std::make_unique<sim::System>(sim::SystemPlan(
         cfg,
-        std::vector<std::string>{kSender, "probe", "sjeng", "sjeng"});
+        std::vector<std::string>{kSender, "probe", "sjeng", "sjeng"}));
     system->setDiagnosticStream(nullptr);
     system->enableLeakMonitor(lc);
     system->run(kCycles);
@@ -152,7 +153,8 @@ TEST(LeakMonitor, AlertCycleIdenticalAcrossRepeatsAndFastForward)
         obs::LeakMonitorConfig monitor_only = lc;
         monitor_only.alertThresholdBits =
             std::numeric_limits<double>::infinity();
-        sim::System system(cfg, {kSender, "probe", "sjeng", "sjeng"});
+        sim::System system(
+            sim::SystemPlan(cfg, {kSender, "probe", "sjeng", "sjeng"}));
         system.enableLeakMonitor(monitor_only);
         system.run(kCycles);
         const auto &hist = system.leakMonitor()->history();
@@ -195,7 +197,8 @@ TEST(LeakMonitor, HistoryIdenticalUnderFastForward)
 TEST(LeakMonitor, IntervalSeriesGrowsLeakmonColumn)
 {
     sim::SystemConfig cfg = covertConfig(false);
-    sim::System system(cfg, {kSender, "probe", "sjeng", "sjeng"});
+    sim::System system(
+        sim::SystemPlan(cfg, {kSender, "probe", "sjeng", "sjeng"}));
     obs::LeakMonitorConfig lc;
     system.enableLeakMonitor(lc);
     system.enableIntervalStats(20000);
@@ -208,7 +211,8 @@ TEST(LeakMonitor, IntervalSeriesGrowsLeakmonColumn)
 TEST(LeakMonitor, RejectsInvalidConfig)
 {
     sim::SystemConfig cfg = covertConfig(false);
-    sim::System system(cfg, {kSender, "probe", "sjeng", "sjeng"});
+    sim::System system(
+        sim::SystemPlan(cfg, {kSender, "probe", "sjeng", "sjeng"}));
 
     obs::LeakMonitorConfig bad_core;
     bad_core.core = 99;

@@ -16,6 +16,7 @@
 #include "src/obs/registry.h"
 #include "src/obs/tracer.h"
 #include "src/sim/presets.h"
+#include "src/sim/plan.h"
 #include "src/sim/system.h"
 
 namespace camo {
@@ -255,7 +256,7 @@ TEST(Registry, SystemStatsJsonRoundTrips)
     sim::SystemConfig cfg = sim::paperConfig();
     cfg.numCores = 2;
     cfg.mitigation = sim::Mitigation::BDC;
-    sim::System system(cfg, {"astar", "astar"});
+    sim::System system(sim::SystemPlan(cfg, {"astar", "astar"}));
     system.run(20000);
 
     obs::StatRegistry reg;
@@ -324,8 +325,8 @@ generousBdcConfig(bool fakes)
 TEST(Interval, FakeTrafficColumnsTrackFakeGeneration)
 {
     for (const bool fakes : {true, false}) {
-        sim::System system(generousBdcConfig(fakes),
-                           {"astar", "astar"});
+        sim::System system(sim::SystemPlan(generousBdcConfig(fakes),
+                           {"astar", "astar"}));
         system.enableIntervalStats(5000);
         system.run(30000);
 
@@ -354,7 +355,7 @@ std::string
 runTracedJsonl(const sim::SystemConfig &cfg, Cycle cycles)
 {
     std::ostringstream os;
-    sim::System system(cfg, {"astar", "astar"});
+    sim::System system(sim::SystemPlan(cfg, {"astar", "astar"}));
     system.tracer().setSink(std::make_unique<obs::JsonlTraceSink>(os));
     system.tracer().setEnabled(true);
     system.run(cycles);
@@ -424,7 +425,7 @@ TEST(SystemTrace, DisabledTracerStaysSilent)
 {
     sim::SystemConfig cfg = sim::paperConfig();
     cfg.numCores = 2;
-    sim::System system(cfg, {"astar", "astar"});
+    sim::System system(sim::SystemPlan(cfg, {"astar", "astar"}));
     system.run(5000);
     EXPECT_EQ(system.tracer().emitted(), 0u);
     EXPECT_EQ(system.tracer().buffered(), 0u);

@@ -9,6 +9,7 @@
 
 #include "src/security/covert_receiver.h"
 #include "src/security/mutual_information.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 #include "src/trace/covert.h"
@@ -19,7 +20,7 @@ namespace {
 TEST(PaperRegression, CovertChannelMitigated)
 {
     // SIV-G / Figs. 14-15 (covert keys are 32-bit; see
-    // trace::makeWorkload).
+    // trace::compileWorkload).
     constexpr Cycle pulse = 20000;
     constexpr std::size_t bits = 32;
     auto attack = [&](bool defended) {
@@ -30,8 +31,8 @@ TEST(PaperRegression, CovertChannelMitigated)
             cfg.shapeCore = {true, false, false, false};
             cfg.reqBins = shaper::BinConfig::desired(8, 1.5, 2500);
         }
-        System system(cfg,
-                      {"covert:2AAAAAAA", "probe", "sjeng", "sjeng"});
+        System system(SystemPlan(cfg,
+                      {"covert:2AAAAAAA", "probe", "sjeng", "sjeng"}));
         system.run(pulse * (bits + 4));
         security::CovertDecoderConfig dec;
         dec.windowCycles = pulse;
@@ -110,7 +111,7 @@ TEST(PaperRegression, BusObserverLearnsNothingUnderReqc)
         cfg.recordTraffic = true;
         if (mit != Mitigation::None)
             cfg.shapeCore = {false, true, true, true};
-        System system(cfg, adversaryMix("probe", "apache"));
+        System system(SystemPlan(cfg, adversaryMix("probe", "apache")));
         system.run(1000000);
         return security::computeWindowedCrossMiCounts(
                    system.intrinsicMonitor(1).events(),
@@ -134,7 +135,7 @@ TEST(PaperRegression, AdversaryCannotTellNeighboursApartUnderRespc)
             cfg.shapeCore = {true, false, false, false};
             cfg.respBins = *bins;
         }
-        System s(cfg, adversaryMix("bzip", victim));
+        System s(SystemPlan(cfg, adversaryMix("bzip", victim)));
         s.run(300000);
         return s.avgReadLatency(0);
     };
@@ -145,7 +146,7 @@ TEST(PaperRegression, AdversaryCannotTellNeighboursApartUnderRespc)
 
     SystemConfig probe_cfg = paperConfig();
     probe_cfg.recordTraffic = true;
-    System probe(probe_cfg, adversaryMix("bzip", "mcf"));
+    System probe(SystemPlan(probe_cfg, adversaryMix("bzip", "mcf")));
     probe.run(200000);
     const auto bins = binsFromMonitor(probe.responseMonitor(0), 200000,
                                       10000, 1.0);

@@ -28,14 +28,20 @@ namespace {
 constexpr Cycle kCycles = 40000;
 
 std::string
-statsJsonOf(const sim::SystemConfig &cfg,
-            const std::vector<std::string> &mix, Cycle cycles)
+statsJsonOf(sim::System &system, Cycle cycles)
 {
-    sim::System system(cfg, mix);
     system.run(cycles);
     obs::StatRegistry reg;
     system.registerStats(reg);
     return reg.toJson().dump(2);
+}
+
+std::string
+statsJsonOf(const sim::SystemConfig &cfg,
+            const std::vector<std::string> &mix, Cycle cycles)
+{
+    sim::System system(sim::SystemPlan(cfg, mix));
+    return statsJsonOf(system, cycles);
 }
 
 bool
@@ -246,39 +252,40 @@ TEST(EvaluateGenerationParallel, JobCountInvariant)
         children.push_back(ga::Genome(genome_len, v));
 
     const std::vector<double> alone_rate(cfg.numCores, 0.01);
+    const sim::SystemPlan plan(cfg, mix);
     const auto one = sim::evaluateGenerationParallel(
-        cfg, mix, children, /*generation=*/0, alone_rate,
-        /*epoch=*/10000, 1);
+        plan, children, /*generation=*/0, alone_rate, /*epoch=*/10000,
+        1);
     const auto four = sim::evaluateGenerationParallel(
-        cfg, mix, children, /*generation=*/0, alone_rate,
-        /*epoch=*/10000, 4);
+        plan, children, /*generation=*/0, alone_rate, /*epoch=*/10000,
+        4);
     EXPECT_EQ(one, four);
     ASSERT_EQ(one.size(), children.size());
 }
 
 // ---------------------------------------------------------------
-// SystemPlan: compiled-plan construction is bit-exact with the
-// legacy one-shot System constructor
+// SystemPlan: a plan is reusable, and every instantiation of it is
+// bit-exact with a fresh plan's
 // ---------------------------------------------------------------
 
-TEST(SystemPlan, InstantiateMatchesLegacySystemByteForByte)
+TEST(SystemPlan, ReusedPlanMatchesFreshPlanByteForByte)
 {
     sim::SystemConfig cfg = sim::paperConfig();
     cfg.mitigation = sim::Mitigation::BDC;
     cfg.seed = 11;
-    // Include a trace-replay workload so the eager-load path is
+    // Include a trace-replay workload so the shared trace items are
     // exercised, not just the synthetic models.
     const std::vector<std::string> mix = {"mcf", "dramsim2:@sample",
                                           "astar", "astar"};
 
-    const std::string legacy = statsJsonOf(cfg, mix, kCycles);
-
     const sim::SystemPlan plan(cfg, mix);
-    std::unique_ptr<sim::System> planned = plan.instantiate();
-    planned->run(kCycles);
-    obs::StatRegistry reg;
-    planned->registerStats(reg);
-    EXPECT_EQ(legacy, reg.toJson().dump(2));
+    const std::string first = statsJsonOf(*plan.instantiate(), kCycles);
+    // Built only after the first machine ran: running must not leak
+    // state back into the plan.
+    const std::string second = statsJsonOf(*plan.instantiate(), kCycles);
+    const std::string fresh = statsJsonOf(cfg, mix, kCycles);
+    EXPECT_EQ(first, second);
+    EXPECT_EQ(first, fresh);
 }
 
 TEST(SystemPlan, SeedOverrideMatchesRebuiltConfig)
@@ -289,16 +296,12 @@ TEST(SystemPlan, SeedOverrideMatchesRebuiltConfig)
 
     sim::SystemConfig reseeded = cfg;
     reseeded.seed = sim::deriveSeed(cfg.seed, 0, 3);
-    const std::string legacy = statsJsonOf(reseeded, mix, kCycles);
+    const std::string rebuilt = statsJsonOf(reseeded, mix, kCycles);
 
     const sim::SystemPlan plan(cfg, mix);
     sim::PlanOverrides ov;
     ov.seed = sim::deriveSeed(cfg.seed, 0, 3);
-    std::unique_ptr<sim::System> planned = plan.instantiate(ov);
-    planned->run(kCycles);
-    obs::StatRegistry reg;
-    planned->registerStats(reg);
-    EXPECT_EQ(legacy, reg.toJson().dump(2));
+    EXPECT_EQ(rebuilt, statsJsonOf(*plan.instantiate(ov), kCycles));
 }
 
 TEST(SystemPlan, RejectsMalformedInputsLikeSystemDoes)
@@ -308,10 +311,35 @@ TEST(SystemPlan, RejectsMalformedInputsLikeSystemDoes)
     EXPECT_THROW(sim::SystemPlan(cfg, {"mcf", "nope", "astar", "astar"}),
                  hard::ConfigError);
 
-    // Wrong-size per-core override fails at instantiate.
+    // Wrong-size per-core overrides fail at instantiate.
     const sim::SystemPlan plan(cfg, sim::adversaryMix("mcf", "astar"));
     sim::PlanOverrides ov;
     ov.reqBinsPerCore =
         std::vector<shaper::BinConfig>(cfg.numCores + 1);
     EXPECT_THROW((void)plan.instantiate(ov), hard::ConfigError);
+
+    sim::PlanOverrides resp;
+    resp.respBinsPerCore =
+        std::vector<shaper::BinConfig>(cfg.numCores - 1);
+    sim::SystemConfig overridden = cfg;
+    overridden.respBinsPerCore = *resp.respBinsPerCore;
+    std::string expected;
+    try {
+        sim::validateSystemConfig(overridden, cfg.numCores);
+    } catch (const hard::ConfigError &e) {
+        expected = e.what();
+    }
+    EXPECT_EQ(expected, "respBinsPerCore has 3 entries but numCores is 4");
+    try {
+        (void)plan.instantiate(resp);
+        FAIL() << "accepted a wrong-size respBinsPerCore override";
+    } catch (const hard::ConfigError &e) {
+        EXPECT_EQ(std::string(e.what()), expected);
+    }
+
+    // An empty per-core override means "use the shared bins".
+    sim::PlanOverrides empty;
+    empty.reqBinsPerCore = std::vector<shaper::BinConfig>{};
+    empty.respBinsPerCore = std::vector<shaper::BinConfig>{};
+    EXPECT_NO_THROW((void)plan.instantiate(empty));
 }

@@ -17,6 +17,7 @@
 #include "src/obs/json.h"
 #include "src/obs/prof.h"
 #include "src/obs/registry.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 
@@ -32,7 +33,8 @@ runSurface(bool profiled, obs::Profiler *prof = nullptr)
 {
     sim::SystemConfig cfg = sim::paperConfig();
     cfg.mitigation = sim::Mitigation::BDC;
-    sim::System system(cfg, sim::adversaryMix("mcf", "astar"));
+    sim::System system(
+        sim::SystemPlan(cfg, sim::adversaryMix("mcf", "astar")));
     obs::Profiler local;
     if (profiled)
         system.setProfiler(prof ? prof : &local);
@@ -113,7 +115,8 @@ TEST(Profiler, PhasesCoverWallTimeOfRun)
 {
     sim::SystemConfig cfg = sim::paperConfig();
     cfg.mitigation = sim::Mitigation::BDC;
-    sim::System system(cfg, sim::adversaryMix("mcf", "astar"));
+    sim::System system(
+        sim::SystemPlan(cfg, sim::adversaryMix("mcf", "astar")));
     obs::Profiler prof;
     system.setProfiler(&prof);
 
@@ -144,7 +147,8 @@ TEST(ChromeTrace, ProducesValidJsonWithBalancedAsyncSpans)
 {
     sim::SystemConfig cfg = sim::paperConfig();
     cfg.mitigation = sim::Mitigation::BDC;
-    sim::System system(cfg, sim::adversaryMix("mcf", "astar"));
+    sim::System system(
+        sim::SystemPlan(cfg, sim::adversaryMix("mcf", "astar")));
 
     std::ostringstream os;
     obs::ChromeTraceWriter writer(os);

@@ -7,6 +7,7 @@
 
 #include "src/cache/hierarchy.h"
 #include "src/dram/device.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 #include "src/trace/replay.h"
@@ -19,7 +20,7 @@ namespace {
 
 TEST(Replay, RoundTripPreservesItems)
 {
-    auto inner = trace::makeWorkload("gcc", 42, 0);
+    auto inner = trace::compileWorkload("gcc").instantiate(42, 0);
     trace::RecordingTrace recorder(std::move(inner), 500);
     for (Cycle t = 0; t < 500; ++t)
         recorder.next(t);
@@ -83,7 +84,7 @@ TEST(ReplayDeathTest, BadInputIsFatal)
 
 TEST(Replay, RecorderCapsMemory)
 {
-    auto inner = trace::makeWorkload("gcc", 1, 0);
+    auto inner = trace::compileWorkload("gcc").instantiate(1, 0);
     trace::RecordingTrace recorder(std::move(inner), 10);
     for (Cycle t = 0; t < 100; ++t)
         recorder.next(t);
@@ -203,7 +204,8 @@ TEST(Energy, FakeTrafficCostsEnergy)
         sim::SystemConfig cfg = sim::paperConfig();
         cfg.mitigation = sim::Mitigation::ReqC;
         cfg.fakeTraffic = fakes;
-        sim::System s(cfg, sim::adversaryMix("sjeng", "sjeng"));
+        sim::System s(
+            sim::SystemPlan(cfg, sim::adversaryMix("sjeng", "sjeng")));
         s.run(100000);
         return s.memory().channel(0).device().energy().dynamicPj();
     };

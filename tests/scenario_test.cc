@@ -366,7 +366,7 @@ TEST(TraceWorkloads, MalformedNamesNameTokenAndOffset)
     };
     for (const Case &c : cases) {
         try {
-            trace::makeWorkload(c.name, 1, 0);
+            trace::compileWorkload(c.name);
             FAIL() << "accepted workload " << c.name;
         } catch (const hard::ConfigError &e) {
             EXPECT_NE(std::string(e.what()).find(c.needle),
@@ -380,7 +380,8 @@ TEST(TraceWorkloads, MalformedNamesNameTokenAndOffset)
 TEST(TraceWorkloads, WebDiurnalIsDeterministicPerSeed)
 {
     auto drain = [](std::uint64_t seed) {
-        auto src = trace::makeWorkload("webdiurnal:4800", seed, 0x1000);
+        auto src = trace::compileWorkload("webdiurnal:4800")
+                       .instantiate(seed, 0x1000);
         std::vector<trace::TraceItem> out;
         for (int i = 0; i < 500; ++i)
             out.push_back(src->next(0));
@@ -406,7 +407,7 @@ TEST(TraceWorkloads, WebDiurnalStreamsResponseBursts)
     // Every request touches the hot region then streams cold lines
     // back-to-back; over a long drain both phases must appear, and
     // burst items must be sequential 64-byte strides.
-    auto src = trace::makeWorkload("webdiurnal", 1, 0);
+    auto src = trace::compileWorkload("webdiurnal").instantiate(1, 0);
     std::size_t hot = 0;
     std::size_t sequential = 0;
     trace::TraceItem prev = src->next(0);
@@ -443,7 +444,8 @@ TEST(TraceWorkloads, WebDiurnalSelectableFromTopologyJson)
 
 TEST(TraceWorkloads, FileTraceLoopsForever)
 {
-    auto src = trace::makeWorkload("dramsim2:@sample", 1, 0x1000);
+    auto src =
+        trace::compileWorkload("dramsim2:@sample").instantiate(1, 0x1000);
     const trace::TraceItem first = src->next(0);
     EXPECT_TRUE(first.hasMemOp());
     // Drain well past one file length; the stream must keep going.

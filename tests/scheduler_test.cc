@@ -23,6 +23,7 @@
 #include "src/obs/registry.h"
 #include "src/sim/event_scheduler.h"
 #include "src/sim/presets.h"
+#include "src/sim/plan.h"
 #include "src/sim/system.h"
 
 namespace camo::sim {
@@ -138,7 +139,7 @@ surface(SystemConfig cfg, bool fast_forward,
         const std::vector<std::string> &mix = sparseMix())
 {
     cfg.fastForward = fast_forward;
-    System system(cfg, mix);
+    System system(SystemPlan(cfg, mix));
     system.setDiagnosticStream(nullptr);
     obs::LeakMonitorConfig lm;
     lm.windowCycles = 10000;
@@ -217,7 +218,7 @@ TEST(EventKernel, WatchdogQuietWhenWindowCoversIdleJumps)
     // and stay quiet to the end of the run.
     SystemConfig cfg = sparseConfig();
     cfg.fastForward = true;
-    System system(cfg, sparseMix());
+    System system(SystemPlan(cfg, sparseMix()));
     system.setDiagnosticStream(nullptr);
     hard::WatchdogConfig wc;
     wc.window = 10000; // > the 2000-cycle probe gap
@@ -236,7 +237,7 @@ TEST(EventKernel, WatchdogStillFiresOnStallUnderEventExecution)
     // progress counter and raise WatchdogTimeout mid-run.
     SystemConfig cfg = sparseConfig();
     cfg.fastForward = true;
-    System system(cfg, sparseMix());
+    System system(SystemPlan(cfg, sparseMix()));
     system.setDiagnosticStream(nullptr);
     hard::WatchdogConfig wc;
     wc.window = 500; // << the 2000-cycle probe gap

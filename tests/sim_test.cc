@@ -9,6 +9,7 @@
 
 #include "src/hard/error.h"
 #include "src/security/mutual_information.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 
@@ -22,28 +23,28 @@ TEST(System, ShapersMatchMitigation)
     const auto mix = adversaryMix("astar", "astar");
     {
         SystemConfig cfg = paperConfig();
-        System s(cfg, mix);
+        System s(SystemPlan(cfg, mix));
         EXPECT_EQ(s.requestShaper(0), nullptr);
         EXPECT_EQ(s.responseShaper(0), nullptr);
     }
     {
         SystemConfig cfg = paperConfig();
         cfg.mitigation = Mitigation::ReqC;
-        System s(cfg, mix);
+        System s(SystemPlan(cfg, mix));
         EXPECT_NE(s.requestShaper(0), nullptr);
         EXPECT_EQ(s.responseShaper(0), nullptr);
     }
     {
         SystemConfig cfg = paperConfig();
         cfg.mitigation = Mitigation::RespC;
-        System s(cfg, mix);
+        System s(SystemPlan(cfg, mix));
         EXPECT_EQ(s.requestShaper(0), nullptr);
         EXPECT_NE(s.responseShaper(0), nullptr);
     }
     {
         SystemConfig cfg = paperConfig();
         cfg.mitigation = Mitigation::BDC;
-        System s(cfg, mix);
+        System s(SystemPlan(cfg, mix));
         EXPECT_NE(s.requestShaper(0), nullptr);
         EXPECT_NE(s.responseShaper(0), nullptr);
     }
@@ -54,7 +55,7 @@ TEST(System, ShapeCoreMaskRespected)
     SystemConfig cfg = paperConfig();
     cfg.mitigation = Mitigation::ReqC;
     cfg.shapeCore = {true, false, true, false};
-    System s(cfg, adversaryMix("astar", "astar"));
+    System s(SystemPlan(cfg, adversaryMix("astar", "astar")));
     EXPECT_NE(s.requestShaper(0), nullptr);
     EXPECT_EQ(s.requestShaper(1), nullptr);
     EXPECT_NE(s.requestShaper(2), nullptr);
@@ -67,13 +68,13 @@ TEST(System, SchedulerFollowsMitigation)
     {
         SystemConfig cfg = paperConfig();
         cfg.mitigation = Mitigation::TP;
-        System s(cfg, mix);
+        System s(SystemPlan(cfg, mix));
         EXPECT_STREQ(s.memory().channel(0).scheduler().name(), "TP");
     }
     {
         SystemConfig cfg = paperConfig();
         cfg.mitigation = Mitigation::FS;
-        System s(cfg, mix);
+        System s(SystemPlan(cfg, mix));
         EXPECT_STREQ(s.memory().channel(0).scheduler().name(), "FS");
         EXPECT_TRUE(s.memory().channel(0).config().bankPartitioning);
     }
@@ -82,7 +83,7 @@ TEST(System, SchedulerFollowsMitigation)
 TEST(System, WorkloadCountMustMatchCores)
 {
     SystemConfig cfg = paperConfig();
-    EXPECT_THROW(System(cfg, {"astar"}), hard::ConfigError);
+    EXPECT_THROW(System(SystemPlan(cfg, {"astar"})), hard::ConfigError);
 }
 
 // ------------------------------------------------------- determinism
@@ -120,7 +121,7 @@ TEST(System, DifferentSeedsDiffer)
 TEST(System, MemoryTrafficFlows)
 {
     SystemConfig cfg = paperConfig();
-    System s(cfg, adversaryMix("mcf", "mcf"));
+    System s(SystemPlan(cfg, adversaryMix("mcf", "mcf")));
     s.run(50000);
     for (std::uint32_t i = 0; i < 4; ++i) {
         EXPECT_GT(s.servedReads(i), 0u) << "core " << i;
@@ -134,7 +135,7 @@ TEST(System, FakeResponsesNeverCountAsServed)
 {
     SystemConfig cfg = paperConfig();
     cfg.mitigation = Mitigation::BDC;
-    System s(cfg, adversaryMix("sjeng", "sjeng")); // light demand
+    System s(SystemPlan(cfg, adversaryMix("sjeng", "sjeng"))); // light demand
     s.run(100000);
     // Fakes flow (sjeng leaves most credits unused)...
     std::uint64_t fakes = 0;
@@ -155,12 +156,12 @@ TEST(System, FakeResponsesNeverCountAsServed)
 TEST(System, LatencyLogOnlyWhenEnabled)
 {
     SystemConfig cfg = paperConfig();
-    System off(cfg, adversaryMix("mcf", "mcf"));
+    System off(SystemPlan(cfg, adversaryMix("mcf", "mcf")));
     off.run(20000);
     EXPECT_TRUE(off.latencyLog(0).empty());
 
     cfg.recordLatencies = true;
-    System on(cfg, adversaryMix("mcf", "mcf"));
+    System on(SystemPlan(cfg, adversaryMix("mcf", "mcf")));
     on.run(20000);
     EXPECT_FALSE(on.latencyLog(0).empty());
     // Log is time-ordered.
@@ -172,7 +173,7 @@ TEST(System, LatencyLogOnlyWhenEnabled)
 TEST(System, EpochCountersClear)
 {
     SystemConfig cfg = paperConfig();
-    System s(cfg, adversaryMix("mcf", "mcf"));
+    System s(SystemPlan(cfg, adversaryMix("mcf", "mcf")));
     s.run(30000);
     EXPECT_GT(s.servedReads(0), 0u);
     s.clearEpochCounters();
@@ -184,7 +185,7 @@ TEST(System, ReconfigureShapersTakesEffect)
 {
     SystemConfig cfg = paperConfig();
     cfg.mitigation = Mitigation::ReqC;
-    System s(cfg, adversaryMix("mcf", "mcf"));
+    System s(SystemPlan(cfg, adversaryMix("mcf", "mcf")));
     auto open = shaper::BinConfig::desired();
     open.credits.assign(open.numBins(), 500);
     s.reconfigureShapers(open, open);
@@ -199,7 +200,7 @@ TEST(Integration, ReqCShapesIntoDesired)
     SystemConfig cfg = paperConfig();
     cfg.mitigation = Mitigation::ReqC;
     cfg.numCores = 1;
-    System s(cfg, {"mcf"});
+    System s(SystemPlan(cfg, {"mcf"}));
     s.run(200000);
 
     const auto desired = shaper::BinConfig::desired();
@@ -220,7 +221,7 @@ TEST(Integration, ShapingCutsMutualInformation)
 
     SystemConfig base = paperConfig();
     base.recordTraffic = true;
-    System unshaped(base, mix);
+    System unshaped(SystemPlan(base, mix));
     unshaped.run(400000);
     const auto h = security::computeUnshapedLeakage(
         unshaped.intrinsicMonitor(1).events(), quantizer);
@@ -229,7 +230,7 @@ TEST(Integration, ShapingCutsMutualInformation)
     shaped_cfg.mitigation = Mitigation::ReqC;
     shaped_cfg.recordTraffic = true;
     shaped_cfg.shapeCore = {false, true, true, true};
-    System shaped(shaped_cfg, mix);
+    System shaped(SystemPlan(shaped_cfg, mix));
     shaped.run(1000000); // enough 20k-cycle windows for a stable MI
     // Cross-run pairing: X is the unshaped run's intrinsic timing,
     // Y is the shaped run's observable (paper SIV-B2 methodology).
@@ -264,7 +265,7 @@ TEST(Integration, RespCFlattensAdversaryLatencyDifference)
             cfg.shapeCore = {true, false, false, false};
             cfg.respBins = *bins;
         }
-        System s(cfg, adversaryMix("bzip", victim));
+        System s(SystemPlan(cfg, adversaryMix("bzip", victim)));
         s.run(400000);
         return s.latencyLog(0);
     };
@@ -284,7 +285,7 @@ TEST(Integration, RespCFlattensAdversaryLatencyDifference)
     // Program the slower (mcf) mix's response distribution.
     SystemConfig probe_cfg = paperConfig();
     probe_cfg.recordTraffic = true;
-    System probe(probe_cfg, adversaryMix("bzip", "mcf"));
+    System probe(SystemPlan(probe_cfg, adversaryMix("bzip", "mcf")));
     probe.run(200000);
     const auto bins = binsFromMonitor(probe.responseMonitor(0), 200000,
                                       10000, 1.0);
@@ -303,7 +304,7 @@ TEST(Integration, TpIsolatesDomains)
     auto avg_latency = [](Mitigation mit, const char *victim) {
         SystemConfig cfg = paperConfig();
         cfg.mitigation = mit;
-        System s(cfg, adversaryMix("bzip", victim));
+        System s(SystemPlan(cfg, adversaryMix("bzip", victim)));
         s.run(300000);
         return s.avgReadLatency(0);
     };
@@ -351,7 +352,7 @@ TEST(Integration, BinsFromMonitorMatchesRate)
 {
     SystemConfig cfg = paperConfig();
     cfg.recordTraffic = true;
-    System s(cfg, adversaryMix("mcf", "astar"));
+    System s(SystemPlan(cfg, adversaryMix("mcf", "astar")));
     s.run(100000);
     const auto bins =
         binsFromMonitor(s.responseMonitor(0), 100000, 10000, 1.0);

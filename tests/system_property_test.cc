@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 
@@ -25,7 +26,7 @@ TEST_P(MitigationSweep, InvariantsHold)
     SystemConfig cfg = paperConfig();
     cfg.mitigation = mit;
     cfg.recordLatencies = true;
-    System system(cfg, adversaryMix(adv, victim));
+    System system(SystemPlan(cfg, adversaryMix(adv, victim)));
     system.run(40000);
 
     std::uint64_t total_served = 0;
@@ -100,7 +101,7 @@ TEST_P(ConformanceSweep, SaturatedShapedTrafficMatchesProgram)
     SystemConfig cfg = paperConfig();
     cfg.mitigation = Mitigation::ReqC;
     cfg.numCores = 1;
-    System system(cfg, {GetParam()});
+    System system(SystemPlan(cfg, {GetParam()}));
     system.run(300000);
 
     const auto desired = shaper::BinConfig::desired();

@@ -49,7 +49,7 @@ TEST(Workloads, IntensityOrderingMatchesPaper)
 
 TEST(Workloads, MakeWorkloadRespectsAddrBase)
 {
-    auto w = makeWorkload("mcf", 1, 1ULL << 41);
+    auto w = compileWorkload("mcf").instantiate(1, 1ULL << 41);
     for (int i = 0; i < 1000; ++i) {
         const auto item = w->next(static_cast<Cycle>(i));
         if (item.hasMemOp()) {
@@ -60,10 +60,10 @@ TEST(Workloads, MakeWorkloadRespectsAddrBase)
 
 TEST(Workloads, UnknownNameRaisesConfigError)
 {
-    EXPECT_THROW(makeWorkload("nope", 1, 0), hard::ConfigError);
-    EXPECT_THROW(makeWorkload("covert:XYZ", 1, 0), hard::ConfigError);
+    EXPECT_THROW(compileWorkload("nope"), hard::ConfigError);
+    EXPECT_THROW(compileWorkload("covert:XYZ"), hard::ConfigError);
     try {
-        makeWorkload("covert:XYZ", 1, 0);
+        compileWorkload("covert:XYZ");
         FAIL() << "expected hard::ConfigError";
     } catch (const hard::ConfigError &e) {
         EXPECT_NE(std::string(e.what()).find("bad covert key"),

@@ -54,6 +54,7 @@
 #include "src/obs/tracer.h"
 #include "src/scenario/scenario.h"
 #include "src/sim/parallel.h"
+#include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 #include "src/sim/topology.h"
@@ -727,7 +728,7 @@ runCamosim(const Options &opt)
         return kExitOk;
     }
 
-    sim::System system(cfg, opt.workloads);
+    sim::System system(sim::SystemPlan(cfg, opt.workloads));
 
     if (opt.checkers) {
         hard::CheckerConfig hc;
