@@ -76,13 +76,15 @@ CacheArray::access(Addr addr, bool is_write)
 {
     Line *line = find(addr);
     if (line == nullptr) {
-        stats_.inc(is_write ? "misses.write" : "misses.read");
+        stats_.inc(is_write ? StatName("misses.write")
+                            : StatName("misses.read"));
         return false;
     }
     line->lastUse = ++useClock_;
     if (is_write)
         line->dirty = true;
-    stats_.inc(is_write ? "hits.write" : "hits.read");
+    stats_.inc(is_write ? StatName("hits.write")
+                        : StatName("hits.read"));
     return true;
 }
 
@@ -114,7 +116,8 @@ CacheArray::insert(Addr addr, bool dirty)
             (victim->tag << (lineBits_ + setBits_)) |
             (static_cast<Addr>(set) << lineBits_);
         evicted = Eviction{victim_addr, victim->dirty};
-        stats_.inc(victim->dirty ? "evictions.dirty" : "evictions.clean");
+        stats_.inc(victim->dirty ? StatName("evictions.dirty")
+                                 : StatName("evictions.clean"));
     }
 
     victim->valid = true;

@@ -71,7 +71,8 @@ class CacheArray
     void
     noteRetriedMisses(std::uint64_t n, bool is_write)
     {
-        stats_.inc(is_write ? "misses.write" : "misses.read", n);
+        stats_.inc(is_write ? StatName("misses.write")
+                            : StatName("misses.read"), n);
     }
 
     const CacheConfig &config() const { return cfg_; }

@@ -50,7 +50,8 @@ AccessResult
 CacheHierarchy::access(Addr addr, bool is_write, Cycle now)
 {
     const Addr line = l1_.lineAddrOf(addr);
-    stats_.inc(is_write ? "accesses.write" : "accesses.read");
+    stats_.inc(is_write ? StatName("accesses.write")
+                        : StatName("accesses.read"));
 
     if (l1_.access(addr, is_write))
         return {AccessKind::L1Hit, now + cfg_.l1.hitLatency, line};
@@ -145,7 +146,8 @@ CacheHierarchy::popOutgoing()
 void
 CacheHierarchy::noteBlockedRetries(std::uint64_t n, bool is_write)
 {
-    stats_.inc(is_write ? "accesses.write" : "accesses.read", n);
+    stats_.inc(is_write ? StatName("accesses.write")
+                        : StatName("accesses.read"), n);
     stats_.inc("mshr.blocked", n);
     l1_.noteRetriedMisses(n, is_write);
     l2_.noteRetriedMisses(n, /*is_write=*/false); // L2 probes as reads

@@ -13,18 +13,6 @@ Scalar::stddev() const
     return std::sqrt(variance());
 }
 
-void
-StatGroup::inc(const std::string &name, std::uint64_t by)
-{
-    counters_[name] += by;
-}
-
-void
-StatGroup::sample(const std::string &name, double v)
-{
-    scalars_[name].sample(v);
-}
-
 std::uint64_t
 StatGroup::counter(const std::string &name) const
 {
@@ -57,6 +45,8 @@ StatGroup::clear()
 {
     counters_.clear();
     scalars_.clear();
+    counterSlots_.clear();
+    scalarSlots_.clear();
 }
 
 std::string

@@ -1,6 +1,7 @@
 #include "src/dram/device.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/common/logging.h"
 
@@ -18,6 +19,16 @@ cmdName(Cmd cmd)
     }
     return "?";
 }
+
+namespace {
+
+/** Per-command counter names ("cmd." + cmdName), indexed by Cmd. */
+constexpr StatName kCmdStat[] = {"cmd.ACT", "cmd.PRE", "cmd.RD",
+                                 "cmd.WR", "cmd.REF"};
+static_assert(std::size(kCmdStat) ==
+              static_cast<std::size_t>(Cmd::REF) + 1);
+
+} // namespace
 
 DramDevice::DramDevice(const DramOrganization &org, const DramTiming &timing)
     : sim::Component("dram"), org_(org), timing_(timing)
@@ -199,7 +210,7 @@ DramDevice::issue(Cmd cmd, const DramAddress &da, std::uint64_t now)
     BankState &bs = bankMut(da.rank, da.bank);
     IssueResult result;
     cmdBusFreeAt_ = now + 1;
-    stats_.inc(std::string("cmd.") + cmdName(cmd));
+    stats_.inc(kCmdStat[static_cast<std::size_t>(cmd)]);
 
 #ifndef CAMO_OBS_NO_TRACING
     if (tracer_ && tracer_->enabled()) {

@@ -57,12 +57,7 @@ MemoryController::MemoryController(const ControllerConfig &cfg,
     camo_assert(cfg_.writeDrainLow < cfg_.writeDrainHigh &&
                     cfg_.writeDrainHigh <= cfg_.writeQueueDepth,
                 "bad write drain watermarks");
-    const std::size_t cap = cfg_.readQueueDepth + cfg_.writeQueueDepth;
-    poolBoosted_.reserve(cap);
-    poolNormal_.reserve(cap);
-    poolFake_.reserve(cap);
-    indexMapScratch_.reserve(cap);
-    poolScratch_.reserve(cap);
+    writePool_.view.isWritePool = true;
 }
 
 MemoryController::~MemoryController() = default;
@@ -135,7 +130,8 @@ MemoryController::enqueue(MemRequest req, Cycle now, Addr decode_addr)
                     req.core);
     txn.req = req;
     txn.enqueuedDram = divider_.derivedTicks();
-    stats_.inc(req.isWrite ? "writes.enqueued" : "reads.enqueued");
+    stats_.inc(req.isWrite ? StatName("writes.enqueued")
+                           : StatName("reads.enqueued"));
     if (req.isFake)
         stats_.inc("fake.enqueued");
     TxnQueue &q = req.isWrite ? writeQ_ : readQ_;
@@ -144,6 +140,7 @@ MemoryController::enqueue(MemRequest req, Cycle now, Addr decode_addr)
                      .core = req.core, .id = req.id, .addr = req.addr,
                      .arg = q.size());
     q.push_back(std::move(txn));
+    poolOf(q).stale = true;
 }
 
 void
@@ -192,48 +189,61 @@ MemoryController::manageRefresh(std::uint64_t dram_now)
     return false;
 }
 
-void
-MemoryController::buildPool(const TxnQueue &queue,
-                            SchedView &view,
-                            std::vector<std::size_t> &index_map) const
+MemoryController::QueuePool &
+MemoryController::poolOf(const TxnQueue &queue) const
 {
+    return &queue == &writeQ_ ? writePool_ : readPool_;
+}
+
+void
+MemoryController::invalidatePools()
+{
+    readPool_.stale = true;
+    writePool_.stale = true;
+}
+
+const SchedView &
+MemoryController::poolFor(const TxnQueue &queue,
+                          std::uint64_t dram_now) const
+{
+    QueuePool &p = poolOf(queue);
+    p.view.now = dram_now;
+    p.view.device = &device_;
+    if (!p.stale)
+        return p.view;
+    p.stale = false;
     // Order: highest-priority-mode core first, then token-boosted
     // cores, then normal traffic, then Camouflage fakes (strictly
-    // lowest priority); stable (age order) within each class.
-    std::vector<std::size_t> &boosted = poolBoosted_;
-    std::vector<std::size_t> &normal = poolNormal_;
-    std::vector<std::size_t> &fake = poolFake_;
-    boosted.clear();
-    normal.clear();
-    fake.clear();
+    // lowest priority); stable (age order) within each class. One pass
+    // in age order inserts each index at the end of its class's
+    // segment: [0, boosted) boosted, [boosted, reals) normal, then
+    // fakes.
     const bool any_tokens = !priorityTokens_.empty();
+    p.index.clear();
+    std::size_t boosted = 0;
+    std::size_t reals = 0;
     for (std::size_t i = 0; i < queue.size(); ++i) {
-        const Transaction &txn = queue[i];
-        const CoreId core = txn.req.core;
-        const bool hpm =
-            highestPriorityCore_ && core == *highestPriorityCore_;
-        const bool tokens = any_tokens && priorityTokens(core) > 0;
-        if (cfg_.demoteFakeTraffic && txn.req.isFake)
-            fake.push_back(i);
-        else if (hpm || tokens)
-            boosted.push_back(i);
-        else
-            normal.push_back(i);
+        const MemRequest &req = queue[i].req;
+        std::size_t at = p.index.size();
+        if (!(cfg_.demoteFakeTraffic && req.isFake)) {
+            const bool hpm =
+                highestPriorityCore_ && req.core == *highestPriorityCore_;
+            const bool tokens = any_tokens && priorityTokens(req.core) > 0;
+            if (hpm || tokens) {
+                at = boosted++;
+                ++reals;
+            } else {
+                at = reals++;
+            }
+        }
+        p.index.insert(p.index.begin() + static_cast<std::ptrdiff_t>(at), i);
     }
-    for (std::size_t i : boosted) {
-        view.pool.push_back(&queue[i]);
-        index_map.push_back(i);
-    }
-    view.boostedCount = view.pool.size();
-    for (std::size_t i : normal) {
-        view.pool.push_back(&queue[i]);
-        index_map.push_back(i);
-    }
-    view.fakeStart = view.pool.size();
-    for (std::size_t i : fake) {
-        view.pool.push_back(&queue[i]);
-        index_map.push_back(i);
-    }
+    p.view.boostedCount = boosted;
+    p.view.fakeStart = reals;
+    p.view.pool.clear();
+    for (const std::size_t i : p.index)
+        p.view.pool.push_back(&queue[i]);
+    return p.view;
 }
 
 void
@@ -262,11 +272,15 @@ MemoryController::execute(const Decision &d, TxnQueue &queue,
     sched_->onCasIssued(txn.req.core, dram_now);
 
     // Consume one priority token per served CAS (proportional boost).
+    // The last one drops the core out of both pools' boosted segment.
     auto it = priorityTokens_.find(txn.req.core);
-    if (it != priorityTokens_.end() && it->second > 0)
-        --it->second;
+    if (it != priorityTokens_.end() && it->second > 0 &&
+        --it->second == 0) {
+        invalidatePools();
+    }
 
-    stats_.inc(txn.req.isWrite ? "writes.served" : "reads.served");
+    stats_.inc(txn.req.isWrite ? StatName("writes.served")
+                               : StatName("reads.served"));
     stats_.sample("queue.latency.dram",
                   static_cast<double>(dram_now - txn.enqueuedDram));
     CAMO_TRACE_EVENT(tracer_, .at = cpu_now,
@@ -284,6 +298,7 @@ MemoryController::execute(const Decision &d, TxnQueue &queue,
         responses_.push_back(std::move(resp));
     }
     queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(qi));
+    poolOf(queue).stale = true;
 }
 
 void
@@ -317,35 +332,21 @@ MemoryController::dramTick(Cycle cpu_now)
         }
     }
 
-    auto try_schedule = [&](TxnQueue &queue,
-                            bool is_write) -> bool {
+    auto try_schedule = [&](TxnQueue &queue) -> bool {
         if (queue.empty())
             return false;
-        SchedView view;
-        view.now = dram_now;
-        view.device = &device_;
-        view.isWritePool = is_write;
-        // Loan the member scratch to the view so the pool keeps its
-        // capacity across DRAM ticks instead of reallocating.
-        poolScratch_.clear();
-        view.pool = std::move(poolScratch_);
-        indexMapScratch_.clear();
-        buildPool(queue, view, indexMapScratch_);
         Decision d;
-        const bool picked = sched_->pick(view, d);
-        if (picked)
-            execute(d, queue, indexMapScratch_, cpu_now, dram_now);
-        poolScratch_ = std::move(view.pool);
-        return picked;
+        if (!sched_->pick(poolFor(queue, dram_now), d))
+            return false;
+        execute(d, queue, poolOf(queue).index, cpu_now, dram_now);
+        return true;
     };
 
     bool issued;
     if (drainingWrites_)
-        issued = try_schedule(writeQ_, true) ||
-                 try_schedule(readQ_, false);
+        issued = try_schedule(writeQ_) || try_schedule(readQ_);
     else
-        issued = try_schedule(readQ_, false) ||
-                 try_schedule(writeQ_, true);
+        issued = try_schedule(readQ_) || try_schedule(writeQ_);
 
     // Closed-page policy: spend otherwise-idle command cycles
     // precharging rows no pending transaction wants.
@@ -417,20 +418,9 @@ MemoryController::popResponses(Cycle now)
 
 std::uint64_t
 MemoryController::earliestQueueAction(const TxnQueue &queue,
-                                      bool is_write,
                                       std::uint64_t dram_now) const
 {
-    SchedView view;
-    view.now = dram_now;
-    view.device = &device_;
-    view.isWritePool = is_write;
-    boundPool_.clear();
-    view.pool = std::move(boundPool_);
-    boundIndex_.clear();
-    buildPool(queue, view, boundIndex_);
-    const std::uint64_t at = sched_->earliestPick(view);
-    boundPool_ = std::move(view.pool);
-    return at;
+    return sched_->earliestPick(poolFor(queue, dram_now));
 }
 
 Cycle
@@ -448,9 +438,9 @@ MemoryController::nextEventCycle(Cycle now, Cycle from) const
     // advance skipIdleCycles performs.
     std::uint64_t act = dram::DramDevice::kNever;
     if (!readQ_.empty())
-        act = std::min(act, earliestQueueAction(readQ_, false, dram_now));
+        act = std::min(act, earliestQueueAction(readQ_, dram_now));
     if (!writeQ_.empty() && act > dram_now + 1)
-        act = std::min(act, earliestQueueAction(writeQ_, true, dram_now));
+        act = std::min(act, earliestQueueAction(writeQ_, dram_now));
     // Write-drain hysteresis: the per-cycle loop evaluates the flip
     // predicate at every DRAM tick, so when it currently holds, the
     // flag flips on the very next tick -- that tick must stay dense
@@ -544,7 +534,10 @@ MemoryController::boostPriority(CoreId core, std::uint32_t tokens)
 {
     if (tokens == 0)
         return;
-    priorityTokens_[core] += tokens;
+    std::uint32_t &held = priorityTokens_[core];
+    if (held == 0)
+        invalidatePools(); // the core joins the boosted segment
+    held += tokens;
     stats_.inc("priority.boosts");
     stats_.inc("priority.tokens.granted", tokens);
 }
@@ -552,7 +545,10 @@ MemoryController::boostPriority(CoreId core, std::uint32_t tokens)
 void
 MemoryController::setHighestPriorityCore(std::optional<CoreId> core)
 {
+    if (core == highestPriorityCore_)
+        return;
     highestPriorityCore_ = core;
+    invalidatePools();
 }
 
 std::uint32_t

@@ -235,12 +235,32 @@ class MemoryController final : public sim::Component
     bool closeIdleRows(std::uint64_t dram_now);
     using TxnQueue = ArenaDeque<Transaction>;
 
-    void buildPool(const TxnQueue &queue, SchedView &view,
-                   std::vector<std::size_t> &index_map) const;
+    /**
+     * One queue's scheduling pool, kept between DRAM ticks. The pool
+     * is a function of the queue's contents, which cores hold priority
+     * tokens, and the highest-priority core, so it is rebuilt only
+     * when one of those changes (`stale`): an enqueue or a CAS erase
+     * on that queue, a core's token count crossing zero in either
+     * direction, or setHighestPriorityCore. The cached pointers stay
+     * valid in between: deque push_back keeps element references, and
+     * an erase marks the pool stale before the next read.
+     */
+    struct QueuePool
+    {
+        SchedView view;
+        std::vector<std::size_t> index; ///< pool position -> queue index
+        bool stale = true;
+    };
+
+    /** The scheduling view of `queue` at DRAM cycle `dram_now`,
+     *  rebuilt first if stale. */
+    const SchedView &poolFor(const TxnQueue &queue,
+                             std::uint64_t dram_now) const;
+    QueuePool &poolOf(const TxnQueue &queue) const;
+    void invalidatePools();
     /** Earliest DRAM cycle the scheduler could act on `queue`
      *  (Scheduler::earliestPick over the same pool dramTick offers). */
     std::uint64_t earliestQueueAction(const TxnQueue &queue,
-                                      bool is_write,
                                       std::uint64_t dram_now) const;
     void execute(const Decision &d, TxnQueue &queue,
                  const std::vector<std::size_t> &index_map, Cycle cpu_now,
@@ -258,20 +278,9 @@ class MemoryController final : public sim::Component
     TxnQueue writeQ_;
     bool drainingWrites_ = false;
     std::vector<PendingResponse> responses_;
-    /** Scratch buffers reused across dramTick calls (buildPool runs
-     *  every DRAM cycle; rebuilding these from scratch dominated the
-     *  busy-path profile). Mutable: buildPool is const so the event
-     *  kernel's bound derivation (nextEventCycle) can reuse it. */
-    mutable std::vector<std::size_t> poolBoosted_;
-    mutable std::vector<std::size_t> poolNormal_;
-    mutable std::vector<std::size_t> poolFake_;
-    std::vector<std::size_t> indexMapScratch_;
-    std::vector<const Transaction *> poolScratch_;
-    /** Scratch for earliestQueueAction (kept separate from the
-     *  dramTick loaners so a bound derivation mid-tick cannot clobber
-     *  a live pool). */
-    mutable std::vector<const Transaction *> boundPool_;
-    mutable std::vector<std::size_t> boundIndex_;
+    // Mutable: nextEventCycle (const) reads the pools too.
+    mutable QueuePool readPool_;
+    mutable QueuePool writePool_;
     std::map<CoreId, std::uint32_t> priorityTokens_;
     std::optional<CoreId> highestPriorityCore_;
     StatGroup stats_;

@@ -29,56 +29,7 @@ casCmdFor(const Transaction &txn)
 }
 
 /**
- * FR-FCFS over pool[begin, end): first an issuable row-hit CAS
- * (oldest first), then ACT/PRE to unblock the oldest transaction whose
- * bank allows progress.
- */
-bool
-frFcfsSegment(const SchedView &view, std::size_t begin, std::size_t end,
-              Decision &out)
-{
-    const auto &dev = *view.device;
-
-    // Pass 1: first-ready — oldest issuable row-hit column command.
-    for (std::size_t i = begin; i < end; ++i) {
-        const Transaction &txn = *view.pool[i];
-        if (dev.isRowHit(txn.da) &&
-            dev.canIssue(casCmdFor(txn), txn.da, view.now)) {
-            out = {Decision::Kind::Cas, i};
-            return true;
-        }
-    }
-
-    // Pass 2: structural progress for the oldest blocked transactions.
-    // Track banks already claimed by an older transaction so a younger
-    // request to the same bank cannot close its row (row-hit respect).
-    std::vector<std::uint64_t> claimed;
-    auto bank_key = [](const dram::DramAddress &da) {
-        return (static_cast<std::uint64_t>(da.rank) << 32) | da.bank;
-    };
-    for (std::size_t i = begin; i < end; ++i) {
-        const Transaction &txn = *view.pool[i];
-        const auto key = bank_key(txn.da);
-        if (std::find(claimed.begin(), claimed.end(), key) != claimed.end())
-            continue;
-        claimed.push_back(key);
-        if (dev.isRowHit(txn.da))
-            continue; // CAS constrained (tCCD etc.); just wait
-        if (dev.isRowOpen(txn.da)) {
-            if (dev.canIssue(dram::Cmd::PRE, txn.da, view.now)) {
-                out = {Decision::Kind::Pre, i};
-                return true;
-            }
-        } else if (dev.canIssue(dram::Cmd::ACT, txn.da, view.now)) {
-            out = {Decision::Kind::Act, i};
-            return true;
-        }
-    }
-    return false;
-}
-
-/**
- * The command frFcfsSegment / FcfsScheduler would try to move `txn`
+ * The command FrFcfsScheduler / FcfsScheduler would try to move `txn`
  * forward: CAS when its row is open, PRE when another row occupies the
  * bank, ACT when the bank is closed. The branch condition always
  * satisfies the command's state precondition, so earliestIssue never
@@ -96,6 +47,57 @@ earliestProgress(const dram::DramDevice &dev, const Transaction &txn)
 
 } // namespace
 
+/**
+ * FR-FCFS over pool[begin, end): first an issuable row-hit CAS
+ * (oldest first), then ACT/PRE to unblock the oldest transaction whose
+ * bank allows progress.
+ */
+bool
+FrFcfsScheduler::pickSegment(const SchedView &view, std::size_t begin,
+                             std::size_t end, Decision &out)
+{
+    const auto &dev = *view.device;
+
+    // Pass 1: first-ready — oldest issuable row-hit column command.
+    for (std::size_t i = begin; i < end; ++i) {
+        const Transaction &txn = *view.pool[i];
+        if (dev.isRowHit(txn.da) &&
+            dev.canIssue(casCmdFor(txn), txn.da, view.now)) {
+            out = {Decision::Kind::Cas, i};
+            return true;
+        }
+    }
+
+    // Pass 2: structural progress for the oldest blocked transactions.
+    // Track banks already claimed by an older transaction so a younger
+    // request to the same bank cannot close its row (row-hit respect).
+    claimed_.clear();
+    auto bank_key = [](const dram::DramAddress &da) {
+        return (static_cast<std::uint64_t>(da.rank) << 32) | da.bank;
+    };
+    for (std::size_t i = begin; i < end; ++i) {
+        const Transaction &txn = *view.pool[i];
+        const auto key = bank_key(txn.da);
+        if (std::find(claimed_.begin(), claimed_.end(), key) !=
+            claimed_.end()) {
+            continue;
+        }
+        claimed_.push_back(key);
+        if (dev.isRowHit(txn.da))
+            continue; // CAS constrained (tCCD etc.); just wait
+        if (dev.isRowOpen(txn.da)) {
+            if (dev.canIssue(dram::Cmd::PRE, txn.da, view.now)) {
+                out = {Decision::Kind::Pre, i};
+                return true;
+            }
+        } else if (dev.canIssue(dram::Cmd::ACT, txn.da, view.now)) {
+            out = {Decision::Kind::Act, i};
+            return true;
+        }
+    }
+    return false;
+}
+
 bool
 FrFcfsScheduler::pick(const SchedView &view, Decision &out)
 {
@@ -103,12 +105,12 @@ FrFcfsScheduler::pick(const SchedView &view, Decision &out)
         std::min(view.fakeStart, view.pool.size());
     // Boosted reals preempt normal reals, which preempt fakes.
     if (view.boostedCount > 0 &&
-        frFcfsSegment(view, 0, view.boostedCount, out)) {
+        pickSegment(view, 0, view.boostedCount, out)) {
         return true;
     }
-    if (frFcfsSegment(view, view.boostedCount, fake_start, out))
+    if (pickSegment(view, view.boostedCount, fake_start, out))
         return true;
-    return frFcfsSegment(view, fake_start, view.pool.size(), out);
+    return pickSegment(view, fake_start, view.pool.size(), out);
 }
 
 std::uint64_t

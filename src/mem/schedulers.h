@@ -100,6 +100,15 @@ class FrFcfsScheduler : public Scheduler
     const char *name() const override { return "FR-FCFS"; }
     bool pick(const SchedView &view, Decision &out) override;
     std::uint64_t earliestPick(const SchedView &view) const override;
+
+  private:
+    /** FR-FCFS over view.pool[begin, end). */
+    bool pickSegment(const SchedView &view, std::size_t begin,
+                     std::size_t end, Decision &out);
+
+    /** pickSegment's claimed-bank keys, oldest claim first; reused
+     *  across calls so a pick allocates nothing. */
+    std::vector<std::uint64_t> claimed_;
 };
 
 /**

@@ -13,19 +13,27 @@ EventScheduler::reset(std::size_t ids)
     buckets_.assign(kBuckets, {});
     nonEmpty_.assign(kBuckets / 64, 0);
     wake_.assign(ids, kNoCycle);
+    liveSeq_.assign(ids, kNoSeq);
     dueScratch_.clear();
     seq_ = 0;
     scheduled_ = 0;
-    cachedNext_ = kNoCycle;
-    cacheValid_ = false;
+    lowWater_ = 0;
+    lowWaterExact_ = false;
 }
 
 void
 EventScheduler::insert(std::uint32_t id, Cycle at)
 {
     const std::size_t b = bucketOf(at);
+    liveSeq_[id] = seq_;
     buckets_[b].push_back(Entry{at, seq_++, id});
     nonEmpty_[b >> 6] |= std::uint64_t{1} << (b & 63);
+    // Every other live wake is >= the mark, so a wake at or below it
+    // is the new minimum.
+    if (at <= lowWater_) {
+        lowWater_ = at;
+        lowWaterExact_ = true;
+    }
 }
 
 void
@@ -33,6 +41,7 @@ EventScheduler::markUnscheduled(std::uint32_t id)
 {
     if (wake_[id] != kNoCycle) {
         wake_[id] = kNoCycle;
+        liveSeq_[id] = kNoSeq;
         --scheduled_;
     }
 }
@@ -50,10 +59,6 @@ EventScheduler::scheduleAt(std::uint32_t id, Cycle at)
         ++scheduled_;
     wake_[id] = at;
     insert(id, at);
-    // The global minimum can only move to `at` (it got earlier), so
-    // the memo stays exact.
-    if (cacheValid_ && at < cachedNext_)
-        cachedNext_ = at;
 }
 
 void
@@ -69,12 +74,10 @@ EventScheduler::reschedule(std::uint32_t id, Cycle at)
         return;
     if (cur == kNoCycle)
         ++scheduled_;
-    else if (cacheValid_ && cur == cachedNext_)
-        cacheValid_ = false; // the old wake may have been the minimum
+    else if (cur == lowWater_)
+        lowWaterExact_ = false; // the old wake may have been the minimum
     wake_[id] = at;
     insert(id, at); // the old bucket entry goes stale; dropped lazily
-    if (cacheValid_ && at < cachedNext_)
-        cachedNext_ = at;
 }
 
 void
@@ -83,8 +86,8 @@ EventScheduler::cancel(std::uint32_t id)
     camo_assert(id < wake_.size(), "cancel: id out of range");
     if (wake_[id] == kNoCycle)
         return;
-    if (cacheValid_ && wake_[id] == cachedNext_)
-        cacheValid_ = false;
+    if (wake_[id] == lowWater_)
+        lowWaterExact_ = false;
     markUnscheduled(id);
 }
 
@@ -93,37 +96,46 @@ EventScheduler::nextDueCycle() const
 {
     if (scheduled_ == 0)
         return kNoCycle;
-    if (cacheValid_)
-        return cachedNext_;
-    // Scan only buckets the bitmap marks as possibly occupied; prune
-    // stale entries (superseded by a later reschedule/pop) on the way.
+    if (lowWaterExact_)
+        return lowWater_;
+    // Walk the occupied buckets once, cyclically from the mark's
+    // bucket; offset k stands for cycle lowWater_ + k. Prune stale
+    // entries (superseded by a later reschedule/pop) on the way.
+    const std::size_t start = bucketOf(lowWater_);
     Cycle best = kNoCycle;
-    for (std::size_t w = 0; w < nonEmpty_.size(); ++w) {
-        std::uint64_t bits = nonEmpty_[w];
-        while (bits != 0) {
-            const std::size_t b =
-                (w << 6) +
-                static_cast<std::size_t>(std::countr_zero(bits));
-            bits &= bits - 1;
-            auto &bucket =
-                const_cast<std::vector<Entry> &>(buckets_[b]);
-            for (std::size_t i = 0; i < bucket.size();) {
-                const Entry &e = bucket[i];
-                if (wake_[e.id] != e.at) { // stale
-                    bucket[i] = bucket.back();
-                    bucket.pop_back();
-                    continue;
-                }
-                best = std::min(best, e.at);
-                ++i;
-            }
-            if (bucket.empty())
-                const_cast<std::uint64_t &>(nonEmpty_[w]) &=
-                    ~(std::uint64_t{1} << (b & 63));
+    for (std::size_t k = 0; k < kBuckets;) {
+        const std::size_t b = (start + k) & (kBuckets - 1);
+        const std::uint64_t bits = nonEmpty_[b >> 6] >> (b & 63);
+        if (bits == 0) {
+            k += 64 - (b & 63); // rest of this bitmap word is empty
+            continue;
         }
+        k += static_cast<std::size_t>(std::countr_zero(bits));
+        if (k >= kBuckets)
+            break;
+        const std::size_t hit = (start + k) & (kBuckets - 1);
+        const Cycle own = lowWater_ + k;
+        auto &bucket = buckets_[hit];
+        for (std::size_t i = 0; i < bucket.size();) {
+            const Entry &e = bucket[i];
+            if (!live(e)) {
+                bucket[i] = bucket.back();
+                bucket.pop_back();
+                continue;
+            }
+            best = std::min(best, e.at);
+            ++i;
+        }
+        if (bucket.empty())
+            nonEmpty_[hit >> 6] &= ~(std::uint64_t{1} << (hit & 63));
+        // Live wakes are >= the mark, so anything below `own` would
+        // have sat in an earlier bucket of this pass for its own cycle.
+        if (best == own)
+            break;
+        ++k;
     }
-    cachedNext_ = best;
-    cacheValid_ = true;
+    lowWater_ = best;
+    lowWaterExact_ = true;
     return best;
 }
 
@@ -140,7 +152,7 @@ EventScheduler::popDue(Cycle cycle, std::vector<std::uint32_t> &out)
     due.clear();
     for (std::size_t i = 0; i < bucket.size();) {
         const Entry &e = bucket[i];
-        if (wake_[e.id] != e.at) { // stale
+        if (!live(e)) {
             bucket[i] = bucket.back();
             bucket.pop_back();
             continue;
@@ -156,12 +168,17 @@ EventScheduler::popDue(Cycle cycle, std::vector<std::uint32_t> &out)
     }
     if (bucket.empty())
         nonEmpty_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-    if (cacheValid_ && cachedNext_ == cycle)
-        cacheValid_ = false;
-    std::sort(due.begin(), due.end(),
-              [](const Entry &a, const Entry &b_) {
-                  return a.seq < b_.seq;
-              });
+    // Draining the known minimum leaves every live wake past it.
+    if (cycle == lowWater_) {
+        lowWater_ = cycle + 1;
+        lowWaterExact_ = false;
+    }
+    if (due.size() > 1) {
+        std::sort(due.begin(), due.end(),
+                  [](const Entry &a, const Entry &b_) {
+                      return a.seq < b_.seq;
+                  });
+    }
     out.reserve(due.size());
     for (const Entry &e : due)
         out.push_back(e.id);

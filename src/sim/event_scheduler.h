@@ -6,9 +6,10 @@
  * System uses the component-graph index), the earliest cycle at which
  * each id wants to run. Wakeups land in a calendar of power-of-two
  * buckets keyed by `cycle & (kBuckets - 1)`, so draining one cycle
- * touches one bucket instead of the whole pending set; a per-id
- * authority array (`wakeOf`) makes superseded bucket entries cheap to
- * drop lazily instead of searching for them at reschedule time.
+ * touches one bucket instead of the whole pending set. Each id records
+ * the sequence number of the one entry that is its live wakeup, so
+ * superseded bucket entries are dropped lazily instead of searched for
+ * at reschedule time -- even one whose cycle the id later returns to.
  *
  * Ordering contract: popDue() returns the ids due at a cycle in the
  * order their wakeups were scheduled (FIFO within a cycle, by a
@@ -68,7 +69,14 @@ class EventScheduler
     /** Remove `id`'s wakeup, if any. */
     void cancel(std::uint32_t id);
 
-    /** Earliest scheduled cycle across all ids (kNoCycle if none). */
+    /**
+     * Earliest scheduled cycle across all ids (kNoCycle if none). One
+     * cyclic pass over the occupied buckets, starting at the low-water
+     * mark's: the first bucket holding a live entry for its own cycle
+     * (mark + offset) holds the minimum. If none does within a calendar
+     * year, every live wake is a year or more out, and the answer is
+     * the least live entry that same pass saw.
+     */
     Cycle nextDueCycle() const;
 
     /**
@@ -89,22 +97,32 @@ class EventScheduler
         return static_cast<std::size_t>(at) & (kBuckets - 1);
     }
 
+    static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
+
     void insert(std::uint32_t id, Cycle at);
     void markUnscheduled(std::uint32_t id);
+    /** Is `e` its id's current wakeup (not superseded or cancelled)? */
+    bool live(const Entry &e) const { return liveSeq_[e.id] == e.seq; }
 
-    std::vector<std::vector<Entry>> buckets_;
+    // nextDueCycle() prunes stale entries as it scans, hence mutable.
+    mutable std::vector<std::vector<Entry>> buckets_;
     /** One bit per bucket: may hold entries (possibly all stale). */
-    std::vector<std::uint64_t> nonEmpty_;
+    mutable std::vector<std::uint64_t> nonEmpty_;
     std::vector<Cycle> wake_;
+    std::vector<std::uint64_t> liveSeq_; ///< seq of the live entry, per id
     std::vector<Entry> dueScratch_; // popDue working set, reused
     std::uint64_t seq_ = 0;
     std::size_t scheduled_ = 0;
 
-    // nextDueCycle() memo; any mutation that could move the minimum
-    // invalidates it (scheduleAt earlier than the memo refreshes it
-    // in place, since the minimum can only have become `at`).
-    mutable Cycle cachedNext_ = kNoCycle;
-    mutable bool cacheValid_ = false;
+    /**
+     * Low-water mark: a lower bound on every live wake. An insert below
+     * it lowers it; popDue raises it past a drained minimum; a scan sets
+     * it to the minimum it found. `lowWaterExact_` says the mark is the
+     * minimum itself (a live wake sits on it), so nextDueCycle() can
+     * answer without scanning; dropping the wake on the mark clears it.
+     */
+    mutable Cycle lowWater_ = 0;
+    mutable bool lowWaterExact_ = false;
 };
 
 } // namespace camo::sim

@@ -1476,7 +1476,6 @@ System::setProfiler(obs::Profiler *prof)
         return;
     const obs::Profiler::NodeId root = prof_->root();
     profTickNode_ = prof_->child(root, "tick");
-    profNextEvNode_ = prof_->child(root, "next_event");
     profSkipNode_ = prof_->child(root, "skip");
     profWatchdogNode_ = prof_->child(root, "watchdog");
     syncProfiler();
@@ -1524,12 +1523,7 @@ System::profiledTick()
 Cycle
 System::nextEventCycle() const
 {
-    if (!prof_)
-        return graph_.nextEventCycle(now_, now_ + 1);
-    obs::Profiler::Timer t;
-    const Cycle ev = graph_.nextEventCycle(now_, now_ + 1);
-    prof_->add(profNextEvNode_, t.elapsedNs());
-    return ev;
+    return graph_.nextEventCycle(now_, now_ + 1);
 }
 
 void

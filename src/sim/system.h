@@ -295,11 +295,10 @@ class System : public WakeSink
     /**
      * Attach a host-time profiler (borrowed; nullptr detaches; must
      * outlive the runs it observes). The loop hooks then time every
-     * kernel phase into its node tree: per-component tick, the
-     * fast-forward probe (next_event), per-component idle-skip, and
-     * watchdog polls. Profiled runs stay bit-exact with unprofiled
-     * ones; the cost when detached is a single pointer test per
-     * phase.
+     * kernel phase into its node tree: per-component tick,
+     * per-component idle-skip, and watchdog polls. Profiled runs stay
+     * bit-exact with unprofiled ones; the cost when detached is a
+     * single pointer test per phase.
      */
     void setProfiler(obs::Profiler *prof);
     obs::Profiler *profiler() { return prof_; }
@@ -505,7 +504,6 @@ class System : public WakeSink
     obs::Profiler *prof_ = nullptr;
     obs::Profiler::NodeId profTickNode_ = obs::Profiler::kNoNode;
     obs::Profiler::NodeId profSkipNode_ = obs::Profiler::kNoNode;
-    obs::Profiler::NodeId profNextEvNode_ = obs::Profiler::kNoNode;
     obs::Profiler::NodeId profWatchdogNode_ = obs::Profiler::kNoNode;
     std::vector<obs::Profiler::NodeId> profTickIds_;
     std::vector<obs::Profiler::NodeId> profSkipIds_;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <set>
 #include <vector>
 
@@ -350,6 +351,51 @@ TEST(Stats, DumpContainsNames)
     const auto s = g.dump("mc.");
     EXPECT_NE(s.find("mc.reads = 3"), std::string::npos);
     EXPECT_NE(s.find("mc.lat"), std::string::npos);
+}
+
+TEST(Stats, LiteralNamesSurviveClearAndCopy)
+{
+    StatGroup g;
+    g.inc("a", 2);
+    g.sample("x", 1.0);
+    g.clear();
+    EXPECT_FALSE(g.hasCounter("a")) << "clear() drops the key";
+    EXPECT_FALSE(g.hasScalar("x"));
+    g.inc("a");
+    g.sample("x", 3.0);
+    EXPECT_TRUE(g.hasCounter("a")) << "the next inc re-creates it";
+    EXPECT_EQ(g.counter("a"), 1u);
+    EXPECT_EQ(g.scalar("x").count(), 1u);
+
+    // A copy resolves names into its own maps.
+    StatGroup copy = g;
+    copy.inc("a", 5);
+    g.inc("a");
+    EXPECT_EQ(g.counter("a"), 2u);
+    EXPECT_EQ(copy.counter("a"), 6u);
+    StatGroup assigned;
+    assigned.inc("b");
+    assigned = g;
+    assigned.inc("a", 10);
+    EXPECT_FALSE(assigned.hasCounter("b"));
+    EXPECT_EQ(assigned.counter("a"), 12u);
+    EXPECT_EQ(g.counter("a"), 2u);
+    StatGroup moved = std::move(copy);
+    moved.inc("a");
+    EXPECT_EQ(moved.counter("a"), 7u);
+
+    // Enough names to grow the lookup cache past its first size.
+    constexpr StatName kNames[] = {
+        "n00", "n01", "n02", "n03", "n04", "n05", "n06", "n07", "n08",
+        "n09", "n10", "n11", "n12", "n13", "n14", "n15", "n16", "n17",
+        "n18", "n19", "n20", "n21", "n22", "n23", "n24", "n25"};
+    for (int round = 0; round < 3; ++round) {
+        for (const StatName name : kNames)
+            g.inc(name);
+    }
+    EXPECT_EQ(g.counters().size(), std::size(kNames) + 1);
+    for (const StatName name : kNames)
+        EXPECT_EQ(g.counter(name.c_str()), 3u) << name.c_str();
 }
 
 TEST(Stats, GeomeanBasics)

@@ -1,6 +1,7 @@
 /** @file Tests for the memory controller and its scheduling policies. */
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -220,6 +221,97 @@ TEST(Controller, HighestPriorityModePreempts)
             break;
     }
     EXPECT_LT(pos, 3u);
+}
+
+// The controller caches each queue's scheduling pool between changes
+// to its inputs. These tests change a priority input with no enqueue
+// or erase after it, after the pool has already been built, so a
+// missed invalidation would schedule from the stale order.
+
+/** Physical address of (bank, row), column 0, under `cfg`'s mapping. */
+Addr
+addrAt(const ControllerConfig &cfg, std::uint32_t bank, std::uint32_t row)
+{
+    dram::DramAddress da;
+    da.bank = bank;
+    da.row = row;
+    return dram::AddressMapper(cfg.org, cfg.mapping).encode(da);
+}
+
+/** Records the address of every column write the device issues. */
+struct WriteLog final : dram::CommandObserver
+{
+    void
+    onCommand(Cmd cmd, const dram::DramAddress &da, std::uint64_t) override
+    {
+        if (cmd == Cmd::WR)
+            writes.push_back(da);
+    }
+    std::vector<dram::DramAddress> writes;
+};
+
+TEST(Controller, BoostOfAlreadyQueuedCoreReorders)
+{
+    MemoryController mc(baseConfig());
+    Cycle now = 0;
+    for (ReqId i = 0; i < 20; ++i)
+        mc.enqueue(makeReq(i, 0, (1ULL << 20) * i), now);
+    mc.enqueue(makeReq(100, 1, 0x123400), now);
+    // Build the pools (the bound derivation reads them), then boost
+    // the core whose request is already queued.
+    mc.nextEventCycle(now, now + 1);
+    mc.boostPriority(1, 4);
+
+    const std::vector<MemRequest> order = collectResponses(mc, 21, now);
+    ASSERT_EQ(order.size(), 21u);
+    EXPECT_EQ(order.front().id, 100u)
+        << "the boosted request is the first to activate and read";
+    EXPECT_EQ(mc.priorityTokens(1), 3u);
+}
+
+TEST(Controller, LastTokenRestoresAgeOrder)
+{
+    // In-order FCFS makes "age order" exact. Core 1 holds one token,
+    // spent by its read; its write sits behind an older core-0 write.
+    // While the token lasts, the boosted core-1 write heads the write
+    // pool but cannot issue (it needs a PRE on the bank the read just
+    // activated, held by tRAS). Once the read's CAS spends the last
+    // token, the write pool must fall back to age order.
+    ControllerConfig cfg = baseConfig();
+    cfg.scheduler = SchedulerKind::Fcfs;
+    MemoryController mc(cfg);
+    WriteLog log;
+    mc.setCommandObserver(&log);
+    Cycle now = 0;
+    mc.enqueue(makeReq(1, 0, addrAt(cfg, 3, 7), true), now);
+    mc.enqueue(makeReq(2, 1, addrAt(cfg, 0, 9), true), now);
+    mc.enqueue(makeReq(3, 1, addrAt(cfg, 0, 5)), now);
+    mc.boostPriority(1, 1);
+
+    const auto reads = collectResponses(mc, 1, now);
+    ASSERT_EQ(reads.size(), 1u);
+    EXPECT_EQ(mc.priorityTokens(1), 0u);
+    while (mc.writeQueueSize() > 0 && now < 20000)
+        mc.tick(++now);
+    ASSERT_EQ(log.writes.size(), 2u);
+    EXPECT_EQ(log.writes[0].bank, 3u) << "older core-0 write first";
+    EXPECT_EQ(log.writes[1].bank, 0u);
+}
+
+TEST(Controller, ClearingHighestPriorityRestoresAgeOrder)
+{
+    MemoryController mc(baseConfig());
+    Cycle now = 0;
+    mc.enqueue(makeReq(1, 0, (1ULL << 20) * 1), now);
+    mc.enqueue(makeReq(2, 1, (1ULL << 20) * 2), now);
+    mc.setHighestPriorityCore(1);
+    mc.nextEventCycle(now, now + 1); // builds the pool, core 1 first
+    mc.setHighestPriorityCore(std::nullopt);
+
+    const auto order = collectResponses(mc, 2, now);
+    ASSERT_EQ(order.size(), 2u);
+    EXPECT_EQ(order[0].id, 1u) << "the older request is served first";
+    EXPECT_EQ(order[1].id, 2u);
 }
 
 TEST(Controller, BankPartitioningConfinesCores)

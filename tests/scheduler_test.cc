@@ -9,6 +9,7 @@
  * kernel jumps over long idle windows.
  */
 
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/hard/error.h"
 #include "src/hard/fault_injection.h"
 #include "src/hard/watchdog.h"
@@ -107,6 +109,170 @@ TEST(EventScheduler, FarFutureWakeupsWrapTheCalendar)
     sched.popDue(far, due);
     EXPECT_EQ(due, (std::vector<std::uint32_t>{3}));
     EXPECT_TRUE(sched.empty());
+}
+
+TEST(EventScheduler, WakeBelowLowWaterSurfaces)
+{
+    constexpr Cycle kYear = EventScheduler::kBuckets;
+    EventScheduler sched(8);
+    std::vector<std::uint32_t> due;
+    sched.scheduleAt(0, 100);
+    sched.scheduleAt(1, 100 + 3 * kYear);
+    ASSERT_EQ(sched.nextDueCycle(), 100u);
+    sched.popDue(100, due); // the low-water mark moves past 100
+
+    // A wake below the mark must lower it, not hide behind it.
+    sched.scheduleAt(2, 90);
+    EXPECT_EQ(sched.nextDueCycle(), 90u);
+    sched.popDue(90, due);
+    EXPECT_EQ(due, (std::vector<std::uint32_t>{2}));
+
+    // Nothing within a year of the mark: the one-pass scan falls back
+    // to the least live entry it saw.
+    EXPECT_EQ(sched.nextDueCycle(), 100 + 3 * kYear);
+    // Below that exact minimum, in the same bucket one year earlier.
+    sched.reschedule(3, 100 + 2 * kYear);
+    EXPECT_EQ(sched.nextDueCycle(), 100 + 2 * kYear);
+    sched.cancel(3);
+    EXPECT_EQ(sched.nextDueCycle(), 100 + 3 * kYear);
+    sched.popDue(100 + 3 * kYear, due);
+    EXPECT_EQ(due, (std::vector<std::uint32_t>{1}));
+    EXPECT_EQ(sched.nextDueCycle(), kNoCycle);
+}
+
+/**
+ * Brute-force calendar: live wakes in a multimap keyed by cycle.
+ * emplace() inserts at the end of an equal range, so equal keys sit in
+ * scheduling order -- the FIFO contract EventScheduler promises.
+ */
+class ReferenceCalendar
+{
+  public:
+    explicit ReferenceCalendar(std::size_t ids) : at_(ids, live_.end()) {}
+
+    Cycle
+    wakeOf(std::uint32_t id) const
+    {
+        return at_[id] == live_.end() ? kNoCycle : at_[id]->first;
+    }
+
+    void
+    scheduleAt(std::uint32_t id, Cycle at)
+    {
+        if (at < wakeOf(id))
+            set(id, at);
+    }
+
+    void
+    reschedule(std::uint32_t id, Cycle at)
+    {
+        if (at == kNoCycle)
+            cancel(id);
+        else if (at != wakeOf(id))
+            set(id, at);
+    }
+
+    void
+    cancel(std::uint32_t id)
+    {
+        if (at_[id] != live_.end()) {
+            live_.erase(at_[id]);
+            at_[id] = live_.end();
+        }
+    }
+
+    Cycle
+    nextDueCycle() const
+    {
+        return live_.empty() ? kNoCycle : live_.begin()->first;
+    }
+
+    std::vector<std::uint32_t>
+    popDue(Cycle cycle)
+    {
+        std::vector<std::uint32_t> out;
+        auto [lo, hi] = live_.equal_range(cycle);
+        for (auto it = lo; it != hi; ++it) {
+            out.push_back(it->second);
+            at_[it->second] = live_.end();
+        }
+        live_.erase(lo, hi);
+        return out;
+    }
+
+    std::size_t size() const { return live_.size(); }
+
+  private:
+    void
+    set(std::uint32_t id, Cycle at)
+    {
+        cancel(id);
+        at_[id] = live_.emplace(at, id);
+    }
+
+    std::multimap<Cycle, std::uint32_t> live_;
+    std::vector<std::multimap<Cycle, std::uint32_t>::iterator> at_;
+};
+
+TEST(EventScheduler, MatchesBruteForceReference)
+{
+    constexpr Cycle kYear = EventScheduler::kBuckets;
+    constexpr std::size_t kIds = 40;
+    const Cycle spans[] = {1,         3,         64,       kYear - 1,
+                           kYear,     kYear + 1, 3 * kYear, 10 * kYear};
+    for (const Cycle span : spans) {
+        SCOPED_TRACE("span " + std::to_string(span));
+        EventScheduler sched(kIds);
+        ReferenceCalendar ref(kIds);
+        Rng rng(0x5EED + span);
+        std::vector<std::uint32_t> due;
+        Cycle now = 0;
+        auto pop_next = [&] {
+            const Cycle next = sched.nextDueCycle();
+            ASSERT_EQ(next, ref.nextDueCycle());
+            if (next == kNoCycle)
+                return;
+            sched.popDue(next, due);
+            ASSERT_EQ(due, ref.popDue(next)) << "at cycle " << next;
+            now = next;
+        };
+        for (int step = 0; step < 5000; ++step) {
+            const auto id = static_cast<std::uint32_t>(rng.below(kIds));
+            // May land on `now`, i.e. below the mark a pop just raised.
+            const Cycle at = now + rng.below(span + 1);
+            switch (rng.below(8)) {
+              case 0:
+              case 1:
+              case 2:
+                sched.scheduleAt(id, at);
+                ref.scheduleAt(id, at);
+                break;
+              case 3:
+                sched.reschedule(id, at);
+                ref.reschedule(id, at);
+                break;
+              case 4:
+                sched.cancel(id);
+                ref.cancel(id);
+                break;
+              case 5: // a pop off the minimum
+                sched.popDue(at, due);
+                ASSERT_EQ(due, ref.popDue(at)) << "at cycle " << at;
+                break;
+              default:
+                ASSERT_NO_FATAL_FAILURE(pop_next());
+                break;
+            }
+            ASSERT_EQ(sched.scheduled(), ref.size()) << "step " << step;
+            ASSERT_EQ(sched.wakeOf(id), ref.wakeOf(id)) << "step " << step;
+        }
+        for (std::size_t left = ref.size(); !sched.empty(); --left) {
+            ASSERT_GT(left, 0u) << "more pops than live wakes";
+            ASSERT_NO_FATAL_FAILURE(pop_next());
+        }
+        EXPECT_EQ(ref.size(), 0u);
+        EXPECT_EQ(sched.nextDueCycle(), kNoCycle);
+    }
 }
 
 // --------------------------------------- system-level event model
