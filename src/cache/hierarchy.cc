@@ -36,9 +36,17 @@ CacheHierarchy::makeRequest(Addr addr, bool is_write, Cycle now)
 }
 
 void
+CacheHierarchy::pushOutgoing(MemRequest req, Cycle now)
+{
+    outgoing_.push_back(std::move(req));
+    if (consumer_ != nullptr)
+        consumer_->scheduleAt(now);
+}
+
+void
 CacheHierarchy::emitWriteback(Addr lineAddr, Cycle now)
 {
-    outgoing_.push_back(makeRequest(lineAddr, true, now));
+    pushOutgoing(makeRequest(lineAddr, true, now), now);
     stats_.inc("writebacks");
     CAMO_TRACE_EVENT(tracer_, .at = now,
                      .type = obs::EventType::CacheWriteback,
@@ -86,7 +94,7 @@ CacheHierarchy::access(Addr addr, bool is_write, Cycle now)
     // set at fill time via the pendingStoreMiss marker below.
     if (is_write)
         pendingStoreLines_.insert(line);
-    outgoing_.push_back(req);
+    pushOutgoing(req, now);
     stats_.inc("llc.misses");
     CAMO_TRACE_EVENT(tracer_, .at = now,
                      .type = obs::EventType::LlcMiss, .core = core_,
@@ -98,7 +106,7 @@ CacheHierarchy::access(Addr addr, bool is_write, Cycle now)
         if (mshrAvailable() && !mshr_.count(next) &&
             !l2_.contains(next)) {
             mshr_.emplace(next, 0); // no demand access waits on it
-            outgoing_.push_back(makeRequest(next, false, now));
+            pushOutgoing(makeRequest(next, false, now), now);
             stats_.inc("prefetches.issued");
             CAMO_TRACE_EVENT(tracer_, .at = now,
                              .type = obs::EventType::LlcMiss,

@@ -66,7 +66,9 @@ struct HierarchyConfig
  *
  * A passive sim::Component: it acts only when its owner calls
  * access()/onFill(), so tick() is a no-op and it never constrains
- * fast-forward. */
+ * fast-forward. Each request it appends to the outgoing queue wakes
+ * the subscribed consumer (the core's request-pipe station) at the
+ * cycle the request was minted. */
 class CacheHierarchy final : public sim::Component
 {
   public:
@@ -97,6 +99,10 @@ class CacheHierarchy final : public sim::Component
      *  clearOutgoing() to drain without reallocating per miss. */
     std::vector<MemRequest> &outgoing() { return outgoing_; }
     void clearOutgoing() { outgoing_.clear(); }
+
+    /** Wake `consumer` whenever a request lands on the outgoing
+     *  queue; nullptr unsubscribes. */
+    void subscribe(sim::Component *consumer) { consumer_ = consumer; }
 
     /** Batch-account `n` cycles of an MSHR-blocked access being
      *  retried (idle-skip replay: each retry re-misses L1 and L2 and
@@ -133,6 +139,8 @@ class CacheHierarchy final : public sim::Component
   private:
     void emitWriteback(Addr lineAddr, Cycle now);
     MemRequest makeRequest(Addr addr, bool is_write, Cycle now);
+    /** Append `req` to the outgoing queue and wake the consumer. */
+    void pushOutgoing(MemRequest req, Cycle now);
 
     CoreId core_;
     HierarchyConfig cfg_;
@@ -148,6 +156,7 @@ class CacheHierarchy final : public sim::Component
     ReqId nextId_ = 1;
     StatGroup stats_;
     obs::Tracer *tracer_ = nullptr;
+    sim::Component *consumer_ = nullptr;
 };
 
 } // namespace camo::cache

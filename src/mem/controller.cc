@@ -295,10 +295,15 @@ MemoryController::execute(const Decision &d, TxnQueue &queue,
         const std::uint64_t delay = result.dataDoneCycle - dram_now;
         resp.readyCpu = cpu_now + dramDelayToCpu(delay);
         resp.req.mcDone = resp.readyCpu;
+        if (respConsumer_ != nullptr)
+            respConsumer_->scheduleAt(resp.readyCpu);
         responses_.push_back(std::move(resp));
     }
+    const bool was_full = !canAccept(txn.req.isWrite);
     queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(qi));
     poolOf(queue).stale = true;
+    if (was_full && spaceConsumer_ != nullptr)
+        spaceConsumer_->scheduleAt(cpu_now);
 }
 
 void

@@ -168,9 +168,23 @@ class MemoryController final : public sim::Component
 
     /** Earliest CPU cycle at which a completed response becomes
      *  visible to popResponses()/drainResponses(), or kNoCycle if no
-     *  response is pending. The event kernel uses this to wake the
-     *  response-routing station exactly when data is ready. */
+     *  response is pending. */
     Cycle nextResponseReady() const;
+
+    /** Wake `consumer` at the CPU cycle each read response minted
+     *  from now on becomes ready; nullptr unsubscribes. */
+    void subscribeResponses(sim::Component *consumer)
+    {
+        respConsumer_ = consumer;
+    }
+
+    /** Wake `consumer` at the CPU cycle a served CAS frees a slot in
+     *  a full transaction queue (canAccept() turns true); nullptr
+     *  unsubscribes. */
+    void subscribeQueueSpace(sim::Component *consumer)
+    {
+        spaceConsumer_ = consumer;
+    }
 
     /** Account `n` skipped idle CPU cycles: advance the DRAM clock
      *  crossing exactly as `n` tick() calls on an idle controller
@@ -285,6 +299,8 @@ class MemoryController final : public sim::Component
     std::optional<CoreId> highestPriorityCore_;
     StatGroup stats_;
     obs::Tracer *tracer_ = nullptr;
+    sim::Component *respConsumer_ = nullptr;
+    sim::Component *spaceConsumer_ = nullptr;
 };
 
 } // namespace camo::mem

@@ -57,6 +57,22 @@ class MemorySystem final : public sim::Component
      *  MemoryController::nextResponseReady). */
     Cycle nextResponseReady() const;
 
+    /** Subscribe `consumer` to every channel's responses (see
+     *  MemoryController::subscribeResponses). */
+    void subscribeResponses(sim::Component *consumer)
+    {
+        for (auto &mc : channels_)
+            mc->subscribeResponses(consumer);
+    }
+
+    /** Subscribe `consumer` to every channel's freed queue slots (see
+     *  MemoryController::subscribeQueueSpace). */
+    void subscribeQueueSpace(sim::Component *consumer)
+    {
+        for (auto &mc : channels_)
+            mc->subscribeQueueSpace(consumer);
+    }
+
     /** Account `n` skipped idle CPU cycles on every channel. */
     void
     skipIdleCycles(Cycle n) override

@@ -71,7 +71,7 @@ class SharedChannel final : public sim::Component
     const MemRequest &egressFront() const;
     MemRequest popEgress();
 
-    /** Cycle-stamped pop: additionally reschedules the channel so a
+    /** Cycle-stamped pop: additionally wakes the channel so a
      *  pipeline flit held back by the freed egress slot advances on
      *  the next cycle (event kernel; matches the per-cycle order where
      *  the channel ticks before the consuming link station). */
@@ -89,7 +89,7 @@ class SharedChannel final : public sim::Component
      * work: immediately while any ingress holds flits (a grant happens
      * every cycle), at the head-of-pipe arrival while the egress queue
      * has space, kNoCycle otherwise. A pipeline blocked on a full
-     * egress queue sleeps until popEgress(now) reschedules it, and a
+     * egress queue sleeps until popEgress(now) wakes it, and a
      * non-empty egress queue alone is the consumer's work, not ours
      * (the consuming link station carries its own bound).
      * Idle cycles have no per-cycle accounting, so no skip hook.

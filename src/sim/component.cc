@@ -21,14 +21,10 @@ ComponentGraph::add(Component *borrowed)
 {
     camo_assert(borrowed != nullptr, "cannot add a null component");
     order_.push_back(borrowed);
-    // Replay sticky attachments so late additions need no extra
-    // wiring (the synthetic-component contract).
+    // Replay the sticky tracer so late additions need no extra wiring
+    // (the synthetic-component contract).
     if (tracerSet_)
         borrowed->attachTracer(tracer_);
-    if (injectorSet_)
-        borrowed->attachInjector(injector_);
-    if (checkersSet_)
-        borrowed->attachCheckers(checkers_);
     return borrowed;
 }
 
@@ -55,13 +51,6 @@ ComponentGraph::nextEventCycle(Cycle now, Cycle from) const
 }
 
 void
-ComponentGraph::drain(Cycle now)
-{
-    for (Component *c : order_)
-        c->drain(now);
-}
-
-void
 ComponentGraph::reset()
 {
     for (Component *c : order_)
@@ -75,24 +64,6 @@ ComponentGraph::attachTracer(obs::Tracer *tracer)
     tracerSet_ = true;
     for (Component *c : order_)
         c->attachTracer(tracer);
-}
-
-void
-ComponentGraph::attachInjector(hard::FaultInjector *injector)
-{
-    injector_ = injector;
-    injectorSet_ = true;
-    for (Component *c : order_)
-        c->attachInjector(injector);
-}
-
-void
-ComponentGraph::attachCheckers(hard::CheckerSet *checkers)
-{
-    checkers_ = checkers;
-    checkersSet_ = true;
-    for (Component *c : order_)
-        c->attachCheckers(checkers);
 }
 
 void

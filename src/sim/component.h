@@ -6,11 +6,13 @@
  * channels, memory controllers, whole subsystems, and the glue
  * stations the System topology builds from them — implements
  * sim::Component. The System drives one iteration over an ordered
- * ComponentGraph for *all* cross-cutting concerns: per-cycle ticking,
+ * ComponentGraph for every cross-cutting concern: per-cycle ticking,
  * the idle fast-forward lower bound, batched idle-cycle accounting,
- * stat registration, and tracer / fault-injector / checker
- * attachment. Adding a component to the topology therefore requires
- * zero edits to any of those plumbing paths.
+ * epoch reset, stat registration, and tracer attachment. A component
+ * that owns sub-components (MemorySystem its controllers, a pipe
+ * station its shaper) forwards those calls to them itself; the graph
+ * only holds what the kernel schedules. Adding a component to the
+ * topology requires zero edits to any of those plumbing paths.
  */
 
 #ifndef CAMO_SIM_COMPONENT_H
@@ -28,11 +30,6 @@ namespace camo::obs {
 class Tracer;
 class StatRegistry;
 } // namespace camo::obs
-
-namespace camo::hard {
-class FaultInjector;
-class CheckerSet;
-} // namespace camo::hard
 
 namespace camo::sim {
 
@@ -52,9 +49,6 @@ class WakeSink
 
     /** Run `id` no later than `at` (min-merge; kNoCycle = no-op). */
     virtual void wakeAt(std::uint32_t id, Cycle at) = 0;
-
-    /** Replace `id`'s pending wakeup with `at` (kNoCycle cancels). */
-    virtual void rescheduleAt(std::uint32_t id, Cycle at) = 0;
 };
 
 /**
@@ -74,13 +68,14 @@ class WakeSink
  *
  * Self-scheduling: under the event-driven kernel each component is
  * attached to a WakeSink and owns its wakeups. After every tick the
- * kernel re-arms the component from its nextEventCycle() bound; a
- * component (or a wire delivering into it) can pull that wakeup
- * earlier at any time with scheduleAt(). Because scheduling is
+ * kernel re-arms the component from its nextEventCycle() bound; the
+ * component itself, or a producer handing it data, pulls that wakeup
+ * earlier with scheduleAt() — a producer at the cycle the data lands
+ * (the one hand-off rule; see port.h). Because scheduling is
  * min-merge and ticking a provably-idle cycle is bit-exact with
  * skipping it, spurious extra wakeups are always safe — only a
- * *missed* wakeup (a bound that overshoots the next observable
- * event) can change behaviour.
+ * *missed* wakeup (a bound that overshoots the next observable event)
+ * can change behaviour.
  */
 class Component
 {
@@ -104,8 +99,6 @@ class Component
         wakeId_ = id;
     }
 
-    std::uint32_t wakeId() const { return wakeId_; }
-
     /** Request a wakeup no later than `at` (min-merge; no-op when
      *  detached or `at` == kNoCycle). */
     void
@@ -113,14 +106,6 @@ class Component
     {
         if (wakeSink_ != nullptr)
             wakeSink_->wakeAt(wakeId_, at);
-    }
-
-    /** Replace any pending wakeup with `at` (kNoCycle cancels). */
-    void
-    reschedule(Cycle at)
-    {
-        if (wakeSink_ != nullptr)
-            wakeSink_->rescheduleAt(wakeId_, at);
     }
 
     /** Advance one CPU cycle. */
@@ -139,9 +124,6 @@ class Component
     /** Account `n` skipped provably-idle cycles. */
     virtual void skipIdleCycles(Cycle n) { (void)n; }
 
-    /** Flush buffered work at end of run (best effort; optional). */
-    virtual void drain(Cycle now) { (void)now; }
-
     /** Clear epoch counters / return to a just-built observable
      *  state. Structural state (queues, RNG streams) is kept. */
     virtual void reset() {}
@@ -150,20 +132,6 @@ class Component
 
     /** Observability hook; nullptr detaches. */
     virtual void attachTracer(obs::Tracer *tracer) { (void)tracer; }
-
-    /** Fault-injection hook; nullptr detaches. */
-    virtual void
-    attachInjector(hard::FaultInjector *injector)
-    {
-        (void)injector;
-    }
-
-    /** Runtime invariant-checker hook; nullptr detaches. */
-    virtual void
-    attachCheckers(hard::CheckerSet *checkers)
-    {
-        (void)checkers;
-    }
 
     /** Register stat groups under this component's dotted paths. */
     virtual void
@@ -180,9 +148,9 @@ class Component
 
 /**
  * An ordered component graph: owns its components and fans every
- * kernel concern out across them in one iteration. Attachments are
- * sticky — a component added after attachTracer()/attachInjector()/
- * attachCheckers() receives the current attachment immediately.
+ * kernel concern out across them in one iteration. The tracer
+ * attachment is sticky — a component added after attachTracer()
+ * receives the current tracer immediately.
  */
 class ComponentGraph
 {
@@ -229,25 +197,18 @@ class ComponentGraph
      *  components; early-out at `from`). */
     Cycle nextEventCycle(Cycle now, Cycle from) const;
 
-    void drain(Cycle now);
     void reset();
 
     void attachTracer(obs::Tracer *tracer);
-    void attachInjector(hard::FaultInjector *injector);
-    void attachCheckers(hard::CheckerSet *checkers);
     void registerStats(obs::StatRegistry &reg) const;
 
   private:
     std::vector<std::unique_ptr<Component>> owned_;
     std::vector<Component *> order_;
 
-    // Sticky attachments, replayed onto late-added components.
+    // Sticky tracer, replayed onto late-added components.
     obs::Tracer *tracer_ = nullptr;
-    hard::FaultInjector *injector_ = nullptr;
-    hard::CheckerSet *checkers_ = nullptr;
     bool tracerSet_ = false;
-    bool injectorSet_ = false;
-    bool checkersSet_ = false;
 };
 
 } // namespace camo::sim

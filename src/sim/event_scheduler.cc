@@ -58,37 +58,7 @@ EventScheduler::scheduleAt(std::uint32_t id, Cycle at)
     if (cur == kNoCycle)
         ++scheduled_;
     wake_[id] = at;
-    insert(id, at);
-}
-
-void
-EventScheduler::reschedule(std::uint32_t id, Cycle at)
-{
-    if (at == kNoCycle) {
-        cancel(id);
-        return;
-    }
-    camo_assert(id < wake_.size(), "reschedule: id out of range");
-    const Cycle cur = wake_[id];
-    if (cur == at)
-        return;
-    if (cur == kNoCycle)
-        ++scheduled_;
-    else if (cur == lowWater_)
-        lowWaterExact_ = false; // the old wake may have been the minimum
-    wake_[id] = at;
-    insert(id, at); // the old bucket entry goes stale; dropped lazily
-}
-
-void
-EventScheduler::cancel(std::uint32_t id)
-{
-    camo_assert(id < wake_.size(), "cancel: id out of range");
-    if (wake_[id] == kNoCycle)
-        return;
-    if (wake_[id] == lowWater_)
-        lowWaterExact_ = false;
-    markUnscheduled(id);
+    insert(id, at); // a superseded later entry goes stale; dropped lazily
 }
 
 Cycle
@@ -100,7 +70,7 @@ EventScheduler::nextDueCycle() const
         return lowWater_;
     // Walk the occupied buckets once, cyclically from the mark's
     // bucket; offset k stands for cycle lowWater_ + k. Prune stale
-    // entries (superseded by a later reschedule/pop) on the way.
+    // entries (superseded by an earlier wake, or popped) on the way.
     const std::size_t start = bucketOf(lowWater_);
     Cycle best = kNoCycle;
     for (std::size_t k = 0; k < kBuckets;) {

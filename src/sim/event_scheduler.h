@@ -8,8 +8,8 @@
  * buckets keyed by `cycle & (kBuckets - 1)`, so draining one cycle
  * touches one bucket instead of the whole pending set. Each id records
  * the sequence number of the one entry that is its live wakeup, so
- * superseded bucket entries are dropped lazily instead of searched for
- * at reschedule time -- even one whose cycle the id later returns to.
+ * entries superseded by an earlier wake are dropped lazily instead of
+ * searched for -- even one whose cycle the id returns to after a pop.
  *
  * Ordering contract: popDue() returns the ids due at a cycle in the
  * order their wakeups were scheduled (FIFO within a cycle, by a
@@ -17,12 +17,11 @@
  * the due set into topology order before ticking; generic users get
  * the FIFO guarantee directly.
  *
- * scheduleAt() is a min-merge: it only ever moves a wakeup earlier.
- * That makes redundant wake notifications (a wire delivery to a
- * component that is already due sooner) free, and means a stale later
- * entry can never mask an earlier one. reschedule() is the
- * authoritative form used when a caller has recomputed its bound and
- * wants to replace the previous wakeup outright.
+ * scheduleAt() is a min-merge and the only way in: it only ever moves
+ * a wakeup earlier. That makes redundant wake notifications (a wire
+ * delivery to a component that is already due sooner) free, and means
+ * a stale later entry can never mask an earlier one. A wakeup leaves
+ * the calendar only by being popped.
  */
 
 #ifndef CAMO_SIM_EVENT_SCHEDULER_H
@@ -63,12 +62,6 @@ class EventScheduler
      */
     void scheduleAt(std::uint32_t id, Cycle at);
 
-    /** Replace `id`'s wakeup with `at` (kNoCycle cancels). */
-    void reschedule(std::uint32_t id, Cycle at);
-
-    /** Remove `id`'s wakeup, if any. */
-    void cancel(std::uint32_t id);
-
     /**
      * Earliest scheduled cycle across all ids (kNoCycle if none). One
      * cyclic pass over the occupied buckets, starting at the low-water
@@ -101,7 +94,7 @@ class EventScheduler
 
     void insert(std::uint32_t id, Cycle at);
     void markUnscheduled(std::uint32_t id);
-    /** Is `e` its id's current wakeup (not superseded or cancelled)? */
+    /** Is `e` its id's current wakeup (not superseded or popped)? */
     bool live(const Entry &e) const { return liveSeq_[e.id] == e.seq; }
 
     // nextDueCycle() prunes stale entries as it scans, hence mutable.
@@ -119,7 +112,7 @@ class EventScheduler
      * it lowers it; popDue raises it past a drained minimum; a scan sets
      * it to the minimum it found. `lowWaterExact_` says the mark is the
      * minimum itself (a live wake sits on it), so nextDueCycle() can
-     * answer without scanning; dropping the wake on the mark clears it.
+     * answer without scanning; popping the mark's cycle clears it.
      */
     mutable Cycle lowWater_ = 0;
     mutable bool lowWaterExact_ = false;

@@ -3,18 +3,20 @@
  * Typed links between components.
  *
  * A Wire<T> is a FIFO buffer with optional capacity (0 = unbounded);
- * backpressure is its canAccept(). An OutPort<T>/InPort<T> pair are
- * the producer/consumer endpoints a component exposes; the topology
- * builder binds both ends of each link to a Wire with connect().
- * Components never name their peers — only their ports — so the
- * topology stays data, not code.
+ * backpressure is its canAccept(). A wire is a plain member of whatever
+ * owns the link (the System's per-core buffers, the NoC channel's
+ * stages), used directly by the code on either side.
  *
  * Event-driven delivery: a wire may subscribe a consumer Component.
  * The cycle-stamped push(v, at) overload then wakes that consumer at
  * the delivery cycle through its WakeSink, so data landing on a wire
  * is itself the scheduling event — no consumer ever polls an empty
- * wire. The plain push(v) stays for paths where the producer's
- * station already runs the consumer in the same call chain.
+ * wire. This subscription is the kernel's one hand-off rule: every
+ * producer that is not a Wire (the NoC egress, the cache's outgoing
+ * misses, the memory controller's responses and freed queue slots)
+ * follows the same subscribe-then-scheduleAt idiom. The plain push(v)
+ * stays for paths where the producer's station already runs the
+ * consumer in the same call chain.
  */
 
 #ifndef CAMO_SIM_PORT_H
@@ -42,7 +44,6 @@ class Wire
     /** Wake `consumer` whenever a cycle-stamped push lands here;
      *  nullptr unsubscribes. */
     void subscribe(Component *consumer) { consumer_ = consumer; }
-    Component *consumer() const { return consumer_; }
 
     void
     push(T v)
@@ -94,73 +95,6 @@ class Wire
     std::size_t cap_;
     Component *consumer_ = nullptr;
 };
-
-/** Producer endpoint of a link. */
-template <typename T>
-class OutPort
-{
-  public:
-    void bind(Wire<T> &wire) { wire_ = &wire; }
-    bool bound() const { return wire_ != nullptr; }
-
-    bool canAccept() const { return wire_ != nullptr && wire_->canAccept(); }
-
-    void
-    push(T v)
-    {
-        camo_assert(wire_ != nullptr, "push through an unbound port");
-        wire_->push(std::move(v));
-    }
-
-    /** Cycle-stamped push: wakes the wire's subscribed consumer. */
-    void
-    push(T v, Cycle at)
-    {
-        camo_assert(wire_ != nullptr, "push through an unbound port");
-        wire_->push(std::move(v), at);
-    }
-
-  private:
-    Wire<T> *wire_ = nullptr;
-};
-
-/** Consumer endpoint of a link. */
-template <typename T>
-class InPort
-{
-  public:
-    void bind(Wire<T> &wire) { wire_ = &wire; }
-    bool bound() const { return wire_ != nullptr; }
-
-    bool empty() const { return wire_ == nullptr || wire_->empty(); }
-    std::size_t size() const { return wire_ ? wire_->size() : 0; }
-
-    T &
-    front()
-    {
-        camo_assert(wire_ != nullptr, "front of an unbound port");
-        return wire_->front();
-    }
-
-    T
-    pop()
-    {
-        camo_assert(wire_ != nullptr, "pop through an unbound port");
-        return wire_->pop();
-    }
-
-  private:
-    Wire<T> *wire_ = nullptr;
-};
-
-/** Bind both endpoints of a link to `wire`. */
-template <typename T>
-void
-connect(OutPort<T> &out, InPort<T> &in, Wire<T> &wire)
-{
-    out.bind(wire);
-    in.bind(wire);
-}
 
 } // namespace camo::sim
 

@@ -40,8 +40,9 @@ struct System::PerCore
     std::unique_ptr<trace::TraceSource> trace;
     std::unique_ptr<cache::CacheHierarchy> cache;
     std::unique_ptr<core::Core> core;
-    std::unique_ptr<shaper::RequestShaper> reqShaper;
-    std::unique_ptr<shaper::ResponseShaper> respShaper;
+    /** Owned by the core's pipe stations; nullptr when unshaped. */
+    shaper::RequestShaper *reqShaper = nullptr;
+    shaper::ResponseShaper *respShaper = nullptr;
 
     /** LLC-miss link between the cache and the shaper/channel. */
     Wire<MemRequest> missBuffer;
@@ -70,13 +71,10 @@ struct System::PerCore
     std::uint64_t ivBusFake = 0;
 
     /** Graph indices the event kernel's glue needs (set by
-     *  buildTopology; kNoIndex = absent). */
-    static constexpr std::size_t kNoIndex = SIZE_MAX;
-    std::size_t coreIdx = kNoIndex;
-    std::size_t corePipeIdx = kNoIndex;
-    std::size_t respPipeIdx = kNoIndex;
-    std::size_t reqShaperIdx = kNoIndex;
-    std::size_t respShaperIdx = kNoIndex;
+     *  buildTopology). */
+    std::size_t coreIdx = 0;
+    std::size_t corePipeIdx = 0;
+    std::size_t respPipeIdx = 0;
 
     PerCore(const std::vector<Cycle> &edges)
         : intrinsicMon(edges), busMon(edges), respMon(edges)
@@ -88,9 +86,11 @@ struct System::PerCore
 // Glue stations: each wraps one inter-subsystem hand-off of the
 // Figure-5 pipeline as a Component, so the tick loop, fast-forward
 // bound, and the attachment fan-outs are all a single iteration over
-// the graph. Stations hold no state of their own beyond the System
-// backpointer (and a core index); they exist to give the hand-offs a
-// place in the tick order.
+// the graph. Stations exist to give the hand-offs a place in the tick
+// order and hold no state beyond the System backpointer and a core
+// index, except that the two pipe stations own their core's shaper
+// the way MemorySystem owns its controllers: they tick, bound and
+// idle-skip it, and forward its tracer and stats.
 // ---------------------------------------------------------------------
 
 /** Consults the fault injector at the top of each cycle. */
@@ -128,9 +128,10 @@ struct System::FaultApplyStation final : Component
 /** Cache outgoing -> miss buffer -> shaper/request channel. */
 struct System::CorePipeStation final : Component
 {
-    CorePipeStation(System *sys, std::uint32_t core)
+    CorePipeStation(System *sys, std::uint32_t core,
+                    std::unique_ptr<shaper::RequestShaper> shaper)
         : Component("station.reqpipe.core" + std::to_string(core)),
-          sys_(sys), core_(core)
+          sys_(sys), core_(core), shaper_(std::move(shaper))
     {
     }
 
@@ -148,11 +149,9 @@ struct System::CorePipeStation final : Component
         // Buffered misses move the moment the next stage can take
         // them (every cycle while it can).
         const PerCore &pc = *sys_->cores_[core_];
-        if (!pc.missBuffer.empty() &&
-            (!pc.reqShaper || pc.reqShaper->canAccept())) {
+        if (!pc.missBuffer.empty() && (!shaper_ || shaper_->canAccept()))
             return from;
-        }
-        if (pc.reqShaper) {
+        if (shaper_) {
             // A wedged shaper is ticked (and wedge-early-returns)
             // every cycle: none of those cycles is provably idle.
             if (sys_->injector_ &&
@@ -167,19 +166,18 @@ struct System::CorePipeStation final : Component
                 return from;
             // The shaper drives its own schedule (replenishments,
             // eligibility, stall events) through the station.
-            return pc.reqShaper->nextEventCycle(from);
+            return shaper_->nextEventCycle(from);
         }
         return kNoCycle;
     }
 
-    /** The paired shaper is driven by this station: its batched idle
+    /** The owned shaper is driven by this station: its batched idle
      *  accounting rides the station's. */
     void
     skipIdleCycles(Cycle n) override
     {
-        PerCore &pc = *sys_->cores_[core_];
-        if (pc.reqShaper)
-            pc.reqShaper->skipIdleCycles(n);
+        if (shaper_)
+            shaper_->skipIdleCycles(n);
     }
 
     /** Epoch service counters live on the pipe, not the core. */
@@ -191,8 +189,23 @@ struct System::CorePipeStation final : Component
         pc.latencySum = 0;
     }
 
+    void
+    attachTracer(obs::Tracer *tracer) override
+    {
+        if (shaper_)
+            shaper_->attachTracer(tracer);
+    }
+
+    void
+    registerStats(obs::StatRegistry &reg) const override
+    {
+        if (shaper_)
+            shaper_->registerStats(reg);
+    }
+
     System *sys_;
     std::uint32_t core_;
+    std::unique_ptr<shaper::RequestShaper> shaper_;
 };
 
 /** Request-channel egress -> memory controller (1/cycle). */
@@ -224,10 +237,12 @@ struct System::ReqLinkStation final : Component
 
     /** Pending egress drains one flit per cycle while the MC has
      *  queue space for the head flit. When the MC queue is full the
-     *  station sleeps: canAccept only transitions back to true inside
-     *  an MC tick, and the post-mem wake glue re-wakes us then. New
-     *  egress arrivals wake us through the channel's egress
-     *  subscription. */
+     *  station sleeps: canAccept only turns true when a served CAS
+     *  frees a slot, and the controller's queue-space subscription
+     *  wakes us then (on the next cycle, since this station ticks
+     *  before the controller — the per-cycle loop likewise used the
+     *  freed slot one cycle later). New egress arrivals wake us
+     *  through the channel's egress subscription. */
     Cycle
     nextEventCycle(Cycle, Cycle from) const override
     {
@@ -260,8 +275,8 @@ struct System::MemRouteStation final : Component
         for (const DelayedResponse &d : sys_->delayedResp_)
             ev = std::min(ev, std::max(from, d.releaseAt));
         // Completed DRAM reads route back the cycle they become
-        // ready (the post-mem wake glue covers responses minted
-        // after this bound was taken).
+        // ready (the controller's response subscription covers
+        // responses minted after this bound was taken).
         ev = std::min(ev,
                       std::max(from, sys_->mem_->nextResponseReady()));
         return ev;
@@ -273,9 +288,10 @@ struct System::MemRouteStation final : Component
 /** Response buffer -> shaper -> response channel. */
 struct System::RespPipeStation final : Component
 {
-    RespPipeStation(System *sys, std::uint32_t core)
+    RespPipeStation(System *sys, std::uint32_t core,
+                    std::unique_ptr<shaper::ResponseShaper> shaper)
         : Component("station.resppipe.core" + std::to_string(core)),
-          sys_(sys), core_(core)
+          sys_(sys), core_(core), shaper_(std::move(shaper))
     {
     }
 
@@ -289,14 +305,12 @@ struct System::RespPipeStation final : Component
     nextEventCycle(Cycle now, Cycle from) const override
     {
         const PerCore &pc = *sys_->cores_[core_];
-        if (!pc.respBuffer.empty() &&
-            (!pc.respShaper || pc.respShaper->canAccept())) {
+        if (!pc.respBuffer.empty() && (!shaper_ || shaper_->canAccept()))
             return from;
-        }
-        if (pc.respShaper) {
+        if (shaper_) {
             // Accumulated priority warnings are forwarded to the
             // scheduler on the next tick.
-            if (pc.respShaper->hasPendingBoost())
+            if (shaper_->hasPendingBoost())
                 return from;
             if (sys_->injector_ &&
                 sys_->injector_->respShaperWedged(core_, now)) {
@@ -306,7 +320,7 @@ struct System::RespPipeStation final : Component
             // stall accounting; see CorePipeStation.
             if (!sys_->respChannel_->canAccept(core_))
                 return from;
-            return pc.respShaper->nextEventCycle(from);
+            return shaper_->nextEventCycle(from);
         }
         return kNoCycle;
     }
@@ -314,13 +328,27 @@ struct System::RespPipeStation final : Component
     void
     skipIdleCycles(Cycle n) override
     {
-        PerCore &pc = *sys_->cores_[core_];
-        if (pc.respShaper)
-            pc.respShaper->skipIdleCycles(n);
+        if (shaper_)
+            shaper_->skipIdleCycles(n);
+    }
+
+    void
+    attachTracer(obs::Tracer *tracer) override
+    {
+        if (shaper_)
+            shaper_->attachTracer(tracer);
+    }
+
+    void
+    registerStats(obs::StatRegistry &reg) const override
+    {
+        if (shaper_)
+            shaper_->registerStats(reg);
     }
 
     System *sys_;
     std::uint32_t core_;
+    std::unique_ptr<shaper::ResponseShaper> shaper_;
 };
 
 /** Response-channel egress -> core fill (1/cycle). */
@@ -534,6 +562,11 @@ System::buildTopology(const SystemPlan &plan)
                            cfg_.mitigation == Mitigation::CS;
     const bool wants_resp = cfg_.mitigation == Mitigation::RespC ||
                             cfg_.mitigation == Mitigation::BDC;
+    // Handed to the pipe stations below, which own them.
+    std::vector<std::unique_ptr<shaper::RequestShaper>> req_shapers(
+        cfg_.numCores);
+    std::vector<std::unique_ptr<shaper::ResponseShaper>> resp_shapers(
+        cfg_.numCores);
 
     for (std::uint32_t i = 0; i < cfg_.numCores; ++i) {
         auto pc = std::make_unique<PerCore>(cfg_.reqBins.edges);
@@ -565,8 +598,9 @@ System::buildTopology(const SystemPlan &plan)
             rc.fakeSequential = cfg_.fakeSequential;
             rc.fakeWriteFrac = cfg_.fakeWriteFrac;
             rc.fakeAddrBase = base + (1ULL << 39);
-            pc->reqShaper = std::make_unique<shaper::RequestShaper>(
+            req_shapers[i] = std::make_unique<shaper::RequestShaper>(
                 i, rc, cfg_.seed * 104729 + i, arena_.get());
+            pc->reqShaper = req_shapers[i].get();
         }
         if (wants_resp && coreIsShaped(i)) {
             shaper::ResponseShaperConfig rc;
@@ -574,8 +608,9 @@ System::buildTopology(const SystemPlan &plan)
                           ? cfg_.respBins
                           : cfg_.respBinsPerCore[i];
             rc.generateFakes = cfg_.fakeTraffic;
-            pc->respShaper = std::make_unique<shaper::ResponseShaper>(
+            resp_shapers[i] = std::make_unique<shaper::ResponseShaper>(
                 i, rc, arena_.get());
+            pc->respShaper = resp_shapers[i].get();
         }
         if (cfg_.recordTraffic) {
             pc->intrinsicMon.setLogging(true);
@@ -595,41 +630,34 @@ System::buildTopology(const SystemPlan &plan)
 
     // Lay the components into the graph in Figure-5 tick order. The
     // subsystems are borrowed (the PerCore / System unique_ptrs above
-    // own them); the stations are graph-owned. Graph indices and wire
-    // subscriptions recorded here are the event kernel's wiring: a
-    // delivery onto a subscribed wire wakes the consuming station at
-    // the delivery cycle.
+    // own them); the stations are graph-owned. The subscriptions made
+    // here are the event kernel's only hand-off wiring: each producer
+    // wakes its consuming station at the cycle the data lands.
     graph_.emplace<FaultApplyStation>(this);
     for (std::uint32_t i = 0; i < cfg_.numCores; ++i) {
         PerCore &pc = *cores_[i];
         graph_.add(pc.core.get());
         pc.coreIdx = graph_.size() - 1;
         graph_.add(pc.cache.get());
-        if (pc.reqShaper) {
-            graph_.add(pc.reqShaper.get());
-            pc.reqShaperIdx = graph_.size() - 1;
-        }
-        CorePipeStation *cp = graph_.emplace<CorePipeStation>(this, i);
+        CorePipeStation *cp = graph_.emplace<CorePipeStation>(
+            this, i, std::move(req_shapers[i]));
         pc.corePipeIdx = graph_.size() - 1;
+        pc.cache->subscribe(cp);
         pc.missBuffer.subscribe(cp);
         faultWakeIds_.push_back(
             static_cast<std::uint32_t>(pc.corePipeIdx));
     }
     graph_.add(reqChannel_.get());
     ReqLinkStation *rl = graph_.emplace<ReqLinkStation>(this);
-    reqLinkIdx_ = graph_.size() - 1;
     reqChannel_->subscribeEgress(rl);
+    mem_->subscribeQueueSpace(rl);
     graph_.add(mem_.get());
     memIdx_ = graph_.size() - 1;
-    graph_.emplace<MemRouteStation>(this);
-    memRouteIdx_ = graph_.size() - 1;
+    mem_->subscribeResponses(graph_.emplace<MemRouteStation>(this));
     for (std::uint32_t i = 0; i < cfg_.numCores; ++i) {
         PerCore &pc = *cores_[i];
-        if (pc.respShaper) {
-            graph_.add(pc.respShaper.get());
-            pc.respShaperIdx = graph_.size() - 1;
-        }
-        RespPipeStation *rp = graph_.emplace<RespPipeStation>(this, i);
+        RespPipeStation *rp = graph_.emplace<RespPipeStation>(
+            this, i, std::move(resp_shapers[i]));
         pc.respPipeIdx = graph_.size() - 1;
         pc.respBuffer.subscribe(rp);
         faultWakeIds_.push_back(
@@ -679,14 +707,14 @@ shaper::RequestShaper *
 System::requestShaper(std::uint32_t i)
 {
     camo_assert(i < cores_.size(), "core index out of range");
-    return cores_[i]->reqShaper.get();
+    return cores_[i]->reqShaper;
 }
 
 shaper::ResponseShaper *
 System::responseShaper(std::uint32_t i)
 {
     camo_assert(i < cores_.size(), "core index out of range");
-    return cores_[i]->respShaper.get();
+    return cores_[i]->respShaper;
 }
 
 const shaper::DistributionMonitor &
@@ -1089,14 +1117,12 @@ System::enableCheckers(const hard::CheckerConfig &cfg)
             }
         }
     }
-    graph_.attachCheckers(checkers_.get());
 }
 
 void
 System::setFaultInjector(hard::FaultInjector *injector)
 {
     injector_ = injector;
-    graph_.attachInjector(injector);
 }
 
 void
@@ -1591,7 +1617,7 @@ System::runLoop(Cycle cycles)
 void
 System::wakeAt(std::uint32_t id, Cycle at)
 {
-    if (!kernelActive_ || at == kNoCycle || driven_[id])
+    if (!kernelActive_ || at == kNoCycle)
         return;
     if (inCycle_ && at <= procCycle_) {
         // Visibility rule reproducing topology-order semantics of the
@@ -1610,15 +1636,6 @@ System::wakeAt(std::uint32_t id, Cycle at)
     }
     const Cycle floor = inCycle_ ? procCycle_ + 1 : now_ + 1;
     sched_.scheduleAt(id, std::max(at, floor));
-}
-
-void
-System::rescheduleAt(std::uint32_t id, Cycle at)
-{
-    if (!kernelActive_ || driven_[id])
-        return;
-    const Cycle floor = inCycle_ ? procCycle_ + 1 : now_ + 1;
-    sched_.reschedule(id, at == kNoCycle ? kNoCycle : std::max(at, floor));
 }
 
 void
@@ -1645,10 +1662,8 @@ System::catchUp(std::size_t i, Cycle through)
 void
 System::syncAllThrough(Cycle through, std::size_t limit)
 {
-    for (std::size_t i = 0; i < limit; ++i) {
-        if (!driven_[i])
-            catchUp(i, through);
-    }
+    for (std::size_t i = 0; i < limit; ++i)
+        catchUp(i, through);
 }
 
 void
@@ -1662,8 +1677,6 @@ System::syncForDiagnostic()
         return;
     const std::size_t n = graph_.order().size();
     for (std::size_t i = 0; i < n && i < lastSync_.size(); ++i) {
-        if (driven_[i])
-            continue;
         const Cycle through =
             inCycle_ ? (i <= procIdx_ ? procCycle_ : procCycle_ - 1)
                      : now_;
@@ -1683,23 +1696,6 @@ System::rebuildWakes()
 {
     const auto &order = graph_.order();
     const std::size_t n = order.size();
-    // Shapers are "driven": only their owning pipe station ticks,
-    // skips, and bounds them, so the kernel never schedules them.
-    driven_.assign(n, 0);
-    for (const auto &pc : cores_) {
-        if (pc->reqShaperIdx != PerCore::kNoIndex)
-            driven_[pc->reqShaperIdx] = 1;
-        if (pc->respShaperIdx != PerCore::kNoIndex)
-            driven_[pc->respShaperIdx] = 1;
-    }
-    // A core tick can mint an LLC miss into the cache's outgoing
-    // buffer (a plain vector nobody subscribes to) and a mem tick can
-    // retire a response; wake the draining station in both cases.
-    wakeAfterTick_.assign(n, kNoTarget);
-    for (const auto &pc : cores_)
-        wakeAfterTick_[pc->coreIdx] =
-            static_cast<std::uint32_t>(pc->corePipeIdx);
-    wakeAfterTick_[memIdx_] = static_cast<std::uint32_t>(memRouteIdx_);
     lastSync_.assign(n, now_);
     dueBits_.assign((n + 63) / 64, 0);
     sched_.reset(n);
@@ -1707,8 +1703,6 @@ System::rebuildWakes()
     inCycle_ = false;
     for (std::size_t i = 0; i < n; ++i) {
         order[i]->attachWakeSink(this, static_cast<std::uint32_t>(i));
-        if (driven_[i])
-            continue;
         const Cycle b = order[i]->nextEventCycle(now_, now_ + 1);
         if (b != kNoCycle)
             sched_.scheduleAt(static_cast<std::uint32_t>(i),
@@ -1750,38 +1744,13 @@ System::processCycle(Cycle cycle)
                 c->tick(cycle);
             }
             lastSync_[i] = cycle;
-            // Re-arm with a min-merge (NOT reschedule): a future
-            // self-wake issued during the tick must survive. The
-            // clamp to cycle+1 guards now-based bound arithmetic.
+            // Re-arm with a min-merge: a future self-wake issued
+            // during the tick must survive. The clamp to cycle+1
+            // guards now-based bound arithmetic.
             const Cycle nb = c->nextEventCycle(cycle, cycle + 1);
             if (nb != kNoCycle)
                 sched_.scheduleAt(static_cast<std::uint32_t>(i),
                                   std::max(nb, cycle + 1));
-            const std::uint32_t tgt = wakeAfterTick_[i];
-            if (tgt != kNoTarget) {
-                if (i == memIdx_) {
-                    // The route station only has work when a response
-                    // is (or becomes) ready; waking it on every
-                    // controller tick would reintroduce per-cycle
-                    // polling on the DRAM-busy path.
-                    const Cycle ready = mem_->nextResponseReady();
-                    if (ready != kNoCycle)
-                        wakeAt(tgt, std::max(cycle, ready));
-                    // A reqlink blocked on a full MC queue sleeps
-                    // (its bound is kNoCycle); canAccept only flips
-                    // back inside an MC tick, so re-wake it here. The
-                    // station's index precedes memIdx_, so the wake
-                    // lands on cycle+1 — the per-cycle loop likewise
-                    // used the freed slot one cycle later.
-                    if (reqChannel_->egressDepth() > 0 &&
-                        mem_->canAccept(reqChannel_->egressFront().addr,
-                                        reqChannel_->egressFront().isWrite))
-                        wakeAt(static_cast<std::uint32_t>(reqLinkIdx_),
-                               cycle);
-                } else {
-                    wakeAt(tgt, cycle);
-                }
-            }
         }
     }
     inCycle_ = false;

@@ -12,14 +12,14 @@
  * EventScheduler calendar from every component's nextEventCycle()
  * bound, then pops due batches and jumps the clock straight to the
  * next scheduled cycle — components self-schedule their wakeups
- * (wire deliveries wake consumers; ticked components are re-armed
- * from their bounds), and per-component lazy catch-up replays the
- * skipped idle accounting bit-exactly. Stat registration and tracer /
- * fault-injector / checker fan-out remain single iterations over the
- * graph — adding a component (see addComponent()) requires no edits
- * to any of those paths. See README.md for the architecture diagram,
- * DESIGN.md §11 for the component contract, and DESIGN.md §13 for
- * the event kernel.
+ * (every hand-off wakes its subscribed consumer at the cycle the data
+ * lands; ticked components are re-armed from their bounds), and
+ * per-component lazy catch-up replays the skipped idle accounting
+ * bit-exactly. Stat registration and tracer fan-out remain single
+ * iterations over the graph — adding a component (see addComponent())
+ * requires no edits to any of those paths. See README.md for the
+ * architecture diagram, DESIGN.md §11 for the component contract, and
+ * DESIGN.md §13 for the event kernel.
  */
 
 #ifndef CAMO_SIM_SYSTEM_H
@@ -190,8 +190,6 @@ class System : public WakeSink
      * outside an event-driven run.
      */
     void wakeAt(std::uint32_t id, Cycle at) override;
-    /** Authoritative re-arm (used by the kernel after each tick). */
-    void rescheduleAt(std::uint32_t id, Cycle at) override;
 
     /**
      * Earliest cycle > now() at which any component could do
@@ -216,8 +214,8 @@ class System : public WakeSink
     /**
      * Register an extra component at the end of the tick order. It
      * immediately participates in ticking, fast-forward bounds,
-     * idle-cycle batching, stat registration, and tracer / injector /
-     * checker attachment — no other wiring required.
+     * idle-cycle batching, epoch reset, stat registration, and tracer
+     * attachment — no other wiring required.
      */
     Component &addComponent(std::unique_ptr<Component> component);
 
@@ -301,7 +299,6 @@ class System : public WakeSink
      * single pointer test per phase.
      */
     void setProfiler(obs::Profiler *prof);
-    obs::Profiler *profiler() { return prof_; }
 
     /**
      * Arm the online leakage monitor over cfg.core's intrinsic and
@@ -450,7 +447,7 @@ class System : public WakeSink
     /** Batch-account component `i`'s provably-idle cycles up to and
      *  including `through` (no-op when already synced). */
     void catchUp(std::size_t i, Cycle through);
-    /** catchUp every non-driven component with index < `limit`. */
+    /** catchUp every component with index < `limit`. */
     void syncAllThrough(Cycle through, std::size_t limit);
     /** Bring the machine to the exact state the per-cycle loop would
      *  show at the current point (used before diagnostic dumps). */
@@ -517,15 +514,6 @@ class System : public WakeSink
      *  idle-skipped). Lazy: non-due components fall behind and are
      *  caught up in one skipIdleCycles() batch on demand. */
     std::vector<Cycle> lastSync_;
-    /** Components ticked by a station rather than the kernel (the
-     *  shapers): never scheduled or caught up independently. */
-    std::vector<std::uint8_t> driven_;
-    /** After ticking index i, wake wakeAfterTick_[i] at the same
-     *  cycle (kNoTarget = none): cores wake their request pipe (a
-     *  tick may mint cache misses), the memory system wakes the
-     *  response router. */
-    std::vector<std::uint32_t> wakeAfterTick_;
-    static constexpr std::uint32_t kNoTarget = 0xffffffffu;
     /** Due set for the cycle in flight (bitmask over graph indices,
      *  scanned in ascending order = topology order). */
     std::vector<std::uint64_t> dueBits_;
@@ -534,10 +522,9 @@ class System : public WakeSink
     bool inCycle_ = false;      ///< inside processCycle()
     Cycle procCycle_ = 0;       ///< cycle being processed
     std::size_t procIdx_ = 0;   ///< graph index being ticked
-    /** Graph indices the kernel glue needs by role. */
+    /** Graph index of the memory system (ReqLinkStation catches it
+     *  up before an enqueue). */
     std::size_t memIdx_ = 0;
-    std::size_t memRouteIdx_ = 0;
-    std::size_t reqLinkIdx_ = 0;
     std::vector<std::uint32_t> faultWakeIds_; ///< pipes + creditcheck
 
     /**

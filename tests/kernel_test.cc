@@ -1,7 +1,7 @@
 /**
  * @file
  * Simulation-kernel tests: the Component/ComponentGraph contract, the
- * typed Wire/Port links, JSON topology loading, and the system-level
+ * typed Wire links, JSON topology loading, and the system-level
  * guarantees the kernel refactor pinned — synthetic components ride
  * every plumbing path with zero edits, nextEventCycle() stays a sound
  * fast-forward bound, and fixed-seed stats output is byte-identical
@@ -18,9 +18,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/stats.h"
-#include "src/hard/checkers.h"
 #include "src/hard/error.h"
-#include "src/hard/fault_injection.h"
 #include "src/mem/memory_system.h"
 #include "src/obs/registry.h"
 #include "src/obs/tracer.h"
@@ -62,24 +60,6 @@ TEST(Wire, ZeroCapacityIsUnbounded)
     EXPECT_EQ(w.size(), 1000u);
 }
 
-TEST(Port, ConnectLinksBothEndpoints)
-{
-    Wire<int> w(1);
-    OutPort<int> out;
-    InPort<int> in;
-    EXPECT_FALSE(out.bound());
-    EXPECT_FALSE(out.canAccept()); // unbound: no backpressure grant
-    EXPECT_TRUE(in.empty());
-    connect(out, in, w);
-    EXPECT_TRUE(out.bound());
-    EXPECT_TRUE(in.bound());
-    out.push(42);
-    EXPECT_FALSE(out.canAccept()); // wire full
-    EXPECT_EQ(in.size(), 1u);
-    EXPECT_EQ(in.pop(), 42);
-    EXPECT_TRUE(in.empty());
-}
-
 // --------------------------------------------------- ComponentGraph
 
 /** Minimal component counting every kernel fan-out that reaches it. */
@@ -96,8 +76,6 @@ class Probe final : public Component
     void skipIdleCycles(Cycle n) override { skipped += n; }
     void reset() override { ++resets; }
     void attachTracer(obs::Tracer *t) override { tracer = t; }
-    void attachInjector(hard::FaultInjector *f) override { injector = f; }
-    void attachCheckers(hard::CheckerSet *c) override { checkers = c; }
     void
     registerStats(obs::StatRegistry &reg) const override
     {
@@ -108,8 +86,6 @@ class Probe final : public Component
     Cycle skipped = 0;
     int resets = 0;
     obs::Tracer *tracer = nullptr;
-    hard::FaultInjector *injector = nullptr;
-    hard::CheckerSet *checkers = nullptr;
     StatGroup stats;
 };
 
@@ -190,8 +166,8 @@ TEST(ComponentGraph, DefaultBoundIsTriviallySound)
 /**
  * The kernel's headline guarantee: a component registered through
  * System::addComponent() participates in ticking, fast-forward,
- * idle-cycle batching, stats, and every attachment fan-out with ZERO
- * edits to System plumbing.
+ * idle-cycle batching, epoch reset, stats, and the tracer fan-out with
+ * ZERO edits to System plumbing.
  */
 TEST(SyntheticComponent, RidesEveryPlumbingPath)
 {
@@ -223,15 +199,6 @@ TEST(SyntheticComponent, RidesEveryPlumbingPath)
     // Epoch reset fans out to it.
     sys.clearEpochCounters();
     EXPECT_EQ(probe->resets, 1);
-
-    // Hardening attachments fan out to it.
-    const hard::FaultPlan plan =
-        hard::FaultPlan::parse("corrupt-credits:at=900000000:core=0", 7);
-    hard::FaultInjector injector(plan);
-    sys.setFaultInjector(&injector);
-    EXPECT_EQ(probe->injector, &injector);
-    sys.enableCheckers(hard::CheckerConfig{});
-    EXPECT_EQ(probe->checkers, sys.checkers());
 }
 
 TEST(SyntheticComponent, TickedEveryCycleWithoutFastForward)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Event-scheduler edge cases (ISSUE 7 satellite): calendar-queue
- * unit semantics -- same-cycle FIFO determinism, min-merge vs
- * reschedule vs cancel, far-future wakeups wrapping the calendar --
+ * unit semantics -- same-cycle FIFO determinism, min-merge with lazy
+ * stale entries, far-future wakeups wrapping the calendar --
  * plus system-level properties of pure event execution: wakeups that
  * cross interval-stats/leakage-monitor boundaries, fault-injection
  * events landing inside a clock jump, and watchdog staleness when the
@@ -62,32 +62,18 @@ TEST(EventScheduler, MinMergeOnlyMovesEarlier)
     // kNoCycle bounds feed through as no-ops.
     sched.scheduleAt(1, kNoCycle);
     EXPECT_EQ(sched.wakeOf(1), 50u);
-}
 
-TEST(EventScheduler, RescheduleReplacesAndCancels)
-{
-    EventScheduler sched(4);
+    // The superseded cycle-90 entry goes stale: once id 0 pops at 30,
+    // popping 90 must not surface it again.
+    sched.scheduleAt(0, 90);
     sched.scheduleAt(0, 30);
-    sched.reschedule(0, 90); // authoritative: moves LATER too
-    EXPECT_EQ(sched.wakeOf(0), 90u);
-    EXPECT_EQ(sched.nextDueCycle(), 90u);
-
-    // The superseded cycle-30 entry is stale: popping its cycle
-    // must not surface id 0.
     std::vector<std::uint32_t> due;
     sched.popDue(30, due);
+    EXPECT_EQ(due, (std::vector<std::uint32_t>{0}));
+    sched.popDue(90, due);
     EXPECT_TRUE(due.empty());
     EXPECT_EQ(sched.scheduled(), 1u);
-
-    sched.reschedule(0, kNoCycle); // cancels
-    EXPECT_EQ(sched.wakeOf(0), kNoCycle);
-    EXPECT_TRUE(sched.empty());
-
-    sched.scheduleAt(2, 40);
-    sched.cancel(2);
-    sched.popDue(40, due);
-    EXPECT_TRUE(due.empty());
-    EXPECT_EQ(sched.nextDueCycle(), kNoCycle);
+    EXPECT_EQ(sched.nextDueCycle(), 50u);
 }
 
 TEST(EventScheduler, FarFutureWakeupsWrapTheCalendar)
@@ -131,9 +117,10 @@ TEST(EventScheduler, WakeBelowLowWaterSurfaces)
     // to the least live entry it saw.
     EXPECT_EQ(sched.nextDueCycle(), 100 + 3 * kYear);
     // Below that exact minimum, in the same bucket one year earlier.
-    sched.reschedule(3, 100 + 2 * kYear);
+    sched.scheduleAt(3, 100 + 2 * kYear);
     EXPECT_EQ(sched.nextDueCycle(), 100 + 2 * kYear);
-    sched.cancel(3);
+    sched.popDue(100 + 2 * kYear, due);
+    EXPECT_EQ(due, (std::vector<std::uint32_t>{3}));
     EXPECT_EQ(sched.nextDueCycle(), 100 + 3 * kYear);
     sched.popDue(100 + 3 * kYear, due);
     EXPECT_EQ(due, (std::vector<std::uint32_t>{1}));
@@ -159,26 +146,11 @@ class ReferenceCalendar
     void
     scheduleAt(std::uint32_t id, Cycle at)
     {
-        if (at < wakeOf(id))
-            set(id, at);
-    }
-
-    void
-    reschedule(std::uint32_t id, Cycle at)
-    {
-        if (at == kNoCycle)
-            cancel(id);
-        else if (at != wakeOf(id))
-            set(id, at);
-    }
-
-    void
-    cancel(std::uint32_t id)
-    {
-        if (at_[id] != live_.end()) {
+        if (at >= wakeOf(id))
+            return;
+        if (at_[id] != live_.end())
             live_.erase(at_[id]);
-            at_[id] = live_.end();
-        }
+        at_[id] = live_.emplace(at, id);
     }
 
     Cycle
@@ -203,13 +175,6 @@ class ReferenceCalendar
     std::size_t size() const { return live_.size(); }
 
   private:
-    void
-    set(std::uint32_t id, Cycle at)
-    {
-        cancel(id);
-        at_[id] = live_.emplace(at, id);
-    }
-
     std::multimap<Cycle, std::uint32_t> live_;
     std::vector<std::multimap<Cycle, std::uint32_t>::iterator> at_;
 };
@@ -244,16 +209,10 @@ TEST(EventScheduler, MatchesBruteForceReference)
               case 0:
               case 1:
               case 2:
+              case 3:
+              case 4:
                 sched.scheduleAt(id, at);
                 ref.scheduleAt(id, at);
-                break;
-              case 3:
-                sched.reschedule(id, at);
-                ref.reschedule(id, at);
-                break;
-              case 4:
-                sched.cancel(id);
-                ref.cancel(id);
                 break;
               case 5: // a pop off the minimum
                 sched.popDue(at, due);
