@@ -143,14 +143,6 @@ CacheHierarchy::onFill(Addr lineAddr, Cycle now)
     return now + cfg_.l1.hitLatency; // fill-to-use forwarding latency
 }
 
-std::vector<MemRequest>
-CacheHierarchy::popOutgoing()
-{
-    std::vector<MemRequest> out;
-    out.swap(outgoing_);
-    return out;
-}
-
 void
 CacheHierarchy::noteBlockedRetries(std::uint64_t n, bool is_write)
 {

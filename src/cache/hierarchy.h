@@ -80,7 +80,7 @@ class CacheHierarchy final : public sim::Component
     /**
      * Perform a demand access.
      * Misses (and dirty-eviction writebacks) append MemRequests to the
-     * outgoing queue retrievable via popOutgoing().
+     * outgoing queue read through outgoing().
      */
     AccessResult access(Addr addr, bool is_write, Cycle now);
 
@@ -92,11 +92,9 @@ class CacheHierarchy final : public sim::Component
      */
     Cycle onFill(Addr lineAddr, Cycle now);
 
-    /** Drain memory-bound requests produced since the last call. */
-    std::vector<MemRequest> popOutgoing();
-
-    /** In-place access to the pending outgoing requests; pair with
-     *  clearOutgoing() to drain without reallocating per miss. */
+    /** Memory-bound requests produced since the last clearOutgoing();
+     *  read in place, then clear, to drain without reallocating per
+     *  miss. */
     std::vector<MemRequest> &outgoing() { return outgoing_; }
     void clearOutgoing() { outgoing_.clear(); }
 

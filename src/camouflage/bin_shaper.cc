@@ -147,12 +147,6 @@ BinShaper::injectLiveCredits(std::uint32_t value)
 }
 
 void
-BinShaper::injectUnusedCredits(std::uint32_t value)
-{
-    std::fill(unused_.begin(), unused_.end(), value);
-}
-
-void
 BinShaper::injectStarvation()
 {
     std::fill(credits_.begin(), credits_.end(), 0u);

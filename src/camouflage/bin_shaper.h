@@ -106,13 +106,11 @@ class BinShaper
     std::uint32_t creditsTotal() const;
 
     /**
-     * Fault-injection hooks (hardening layer): overwrite every live
-     * credit register / unused-credit register with `value`. Models
-     * bit-rot in the credit state the conservation checker must
-     * catch.
+     * Fault-injection hook (hardening layer): overwrite every live
+     * credit register with `value`. Models bit-rot in the credit
+     * state the conservation checker must catch.
      */
     void injectLiveCredits(std::uint32_t value);
-    void injectUnusedCredits(std::uint32_t value);
 
     /**
      * Fault-injection hook: zero all credit state and stick the

@@ -1,7 +1,6 @@
 #include "src/common/arena.h"
 
 #include <bit>
-#include <cstring>
 
 #include "src/common/logging.h"
 
@@ -43,22 +42,17 @@ Arena::allocate(std::size_t bytes, std::size_t align)
         ++freeListHits_;
         return node;
     }
-    // Bump-allocate from the current chunk; every bucket is a
+    // Bump-allocate from the newest chunk; every bucket is a
     // power-of-two multiple of 16, so a 16-aligned cursor satisfies
     // any pooled alignment.
-    if (current_ >= chunks_.size() ||
-        cursor_ + bucket > chunks_[current_].size) {
-        if (current_ < chunks_.size())
-            ++current_;
-        if (current_ >= chunks_.size()) {
-            Chunk c;
-            c.size = chunkBytes_;
-            c.data = std::make_unique<unsigned char[]>(c.size);
-            chunks_.push_back(std::move(c));
-        }
+    if (chunks_.empty() || cursor_ + bucket > chunks_.back().size) {
+        Chunk c;
+        c.size = chunkBytes_;
+        c.data = std::make_unique<unsigned char[]>(c.size);
+        chunks_.push_back(std::move(c));
         cursor_ = 0;
     }
-    void *p = chunks_[current_].data.get() + cursor_;
+    void *p = chunks_.back().data.get() + cursor_;
     cursor_ += bucket;
     return p;
 }
@@ -83,15 +77,6 @@ Arena::deallocate(void *p, std::size_t bytes,
     auto *node = static_cast<FreeNode *>(p);
     node->next = freeLists_[idx];
     freeLists_[idx] = node;
-}
-
-void
-Arena::reset() noexcept
-{
-    current_ = 0;
-    cursor_ = 0;
-    std::memset(freeLists_, 0, sizeof freeLists_);
-    ++resets_;
 }
 
 } // namespace camo

@@ -2,21 +2,18 @@
  * @file
  * Bump/pool allocator for the simulator's hot request path.
  *
- * A sweep constructs and tears down one `sim::System` per job; inside
- * a run, the per-request containers (MSHR maps, shaper queues,
+ * Inside a run, the per-request containers (MSHR maps, shaper queues,
  * controller transaction queues, instruction windows) churn through
  * millions of small fixed-size node allocations. An Arena serves
  * those from bump-allocated chunks with per-size-class free lists, so
- * a worker thread reuses the same warm pages across every job it runs
- * instead of round-tripping each node through the global heap.
+ * freed nodes are reused from warm pages instead of round-tripping
+ * each one through the global heap.
  *
  * Lifetime rules (DESIGN.md §16):
- *  - An Arena is single-threaded: one System (and its components) per
- *    arena at a time, on the thread that runs it.
- *  - `reset()` rewinds every chunk for reuse. It must only be called
- *    when no container constructed from the arena is still alive —
- *    the per-worker pattern is reset(), construct System, run,
- *    destroy System, repeat.
+ *  - An Arena is single-threaded: each System owns one, and its
+ *    components use it on the thread that runs that System. Chunks
+ *    are released when the arena is destroyed, after every container
+ *    built from it.
  *  - A default-constructed ArenaAllocator (null arena) falls back to
  *    the global heap, so components stay usable standalone in tests.
  *
@@ -65,20 +62,12 @@ class Arena
     void deallocate(void *p, std::size_t bytes,
                     std::size_t align) noexcept;
 
-    /**
-     * Rewind every chunk for reuse and drop the free lists. All
-     * memory handed out before the reset is invalidated; see the
-     * lifetime rules above.
-     */
-    void reset() noexcept;
-
     // ----- counters (exported via the stats registry) --------------
     std::uint64_t allocCalls() const { return allocCalls_; }
     std::uint64_t freeCalls() const { return freeCalls_; }
     std::uint64_t freeListHits() const { return freeListHits_; }
     std::uint64_t bytesRequested() const { return bytesRequested_; }
     std::uint64_t heapFallbacks() const { return heapFallbacks_; }
-    std::uint64_t resets() const { return resets_; }
     std::size_t chunkCount() const { return chunks_.size(); }
     std::uint64_t
     bytesReserved() const
@@ -104,8 +93,7 @@ class Arena
 
     std::size_t chunkBytes_;
     std::vector<Chunk> chunks_;
-    std::size_t current_ = 0; ///< chunk being bumped
-    std::size_t cursor_ = 0;  ///< offset into chunks_[current_]
+    std::size_t cursor_ = 0; ///< offset into chunks_.back()
     /** Free lists indexed by log2(bucket) - log2(kMinBucket). */
     static constexpr std::size_t kNumBuckets = 9; // 16..4096
     FreeNode *freeLists_[kNumBuckets] = {};
@@ -115,7 +103,6 @@ class Arena
     std::uint64_t freeListHits_ = 0;
     std::uint64_t bytesRequested_ = 0;
     std::uint64_t heapFallbacks_ = 0;
-    std::uint64_t resets_ = 0;
 };
 
 /**

@@ -37,17 +37,6 @@ Histogram::makeGeometric(std::size_t nbins, std::uint64_t base, double ratio)
     return Histogram(std::move(edges));
 }
 
-Histogram
-Histogram::makeLinear(std::size_t nbins, std::uint64_t step)
-{
-    camo_assert(nbins >= 1 && step >= 1, "bad linear histogram spec");
-    std::vector<std::uint64_t> edges;
-    edges.reserve(nbins);
-    for (std::size_t i = 0; i < nbins; ++i)
-        edges.push_back(i * step);
-    return Histogram(std::move(edges));
-}
-
 std::size_t
 Histogram::binOf(std::uint64_t sample) const
 {
@@ -111,37 +100,6 @@ Histogram::totalVariationDistance(const Histogram &other) const
     for (std::size_t i = 0; i < p.size(); ++i)
         tvd += std::abs(p[i] - q[i]);
     return tvd / 2.0;
-}
-
-std::uint64_t
-Histogram::percentile(double p) const
-{
-    camo_assert(p > 0.0 && p <= 1.0,
-                "percentile needs p in (0, 1], got ", p);
-    if (total_ == 0)
-        return 0;
-    const double target = p * static_cast<double>(total_);
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        cumulative += counts_[i];
-        if (static_cast<double>(cumulative) >= target)
-            return edges_[i];
-    }
-    return edges_.back();
-}
-
-std::string
-Histogram::toJson() const
-{
-    std::ostringstream os;
-    os << "{\"edges\":[";
-    for (std::size_t i = 0; i < edges_.size(); ++i)
-        os << (i ? "," : "") << edges_[i];
-    os << "],\"counts\":[";
-    for (std::size_t i = 0; i < counts_.size(); ++i)
-        os << (i ? "," : "") << counts_[i];
-    os << "],\"total\":" << total_ << "}";
-    return os.str();
 }
 
 std::string

@@ -34,9 +34,6 @@ class Histogram
     static Histogram makeGeometric(std::size_t nbins, std::uint64_t base,
                                    double ratio);
 
-    /** Linear edges: 0, step, 2*step, ... (nbins total). */
-    static Histogram makeLinear(std::size_t nbins, std::uint64_t step);
-
     /** Index of the bin a sample falls into. */
     std::size_t binOf(std::uint64_t sample) const;
 
@@ -66,21 +63,8 @@ class Histogram
      */
     double totalVariationDistance(const Histogram &other) const;
 
-    /**
-     * Lower edge of the first bin whose cumulative mass reaches `p`
-     * (0 < p <= 1); 0 for an empty histogram. A bin-granular quantile:
-     * percentile(0.5) is the median bin's lower edge.
-     */
-    std::uint64_t percentile(double p) const;
-
     /** Render an ASCII bar chart (for bench output). */
     std::string toAscii(std::size_t width = 50) const;
-
-    /**
-     * Serialize to a JSON object string:
-     * {"edges": [...], "counts": [...], "total": N}.
-     */
-    std::string toJson() const;
 
   private:
     std::vector<std::uint64_t> edges_;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Error/status reporting in the gem5 tradition: panic() for simulator
- * bugs (aborts), fatal() for user errors (clean exit), warn()/inform()
- * for status.
+ * bugs (aborts), fatal() for user errors (clean exit), warn() for
+ * suspicious conditions.
  */
 
 #ifndef CAMO_COMMON_LOGGING_H
@@ -22,7 +22,6 @@ namespace detail {
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const char *file, int line, const std::string &msg);
-void informImpl(const std::string &msg);
 
 /** Fold a list of streamable values into one string. */
 template <typename... Args>
@@ -36,7 +35,7 @@ fmt(Args &&...args)
 
 } // namespace detail
 
-/** Set to false to silence warn()/inform() (tests use this). */
+/** Set to false to silence warn() (tests use this). */
 void setVerbose(bool verbose);
 bool verbose();
 
@@ -62,10 +61,6 @@ bool verbose();
 #define camo_warn(...) \
     ::camo::detail::warnImpl(__FILE__, __LINE__, \
                              ::camo::detail::fmt(__VA_ARGS__))
-
-/** Plain status message. */
-#define camo_inform(...) \
-    ::camo::detail::informImpl(::camo::detail::fmt(__VA_ARGS__))
 
 /** Internal invariant check; active in all build types. */
 #define camo_assert(cond, ...) \

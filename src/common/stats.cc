@@ -1,7 +1,6 @@
 #include "src/common/stats.h"
 
 #include <cmath>
-#include <sstream>
 
 #include "src/common/logging.h"
 
@@ -29,12 +28,6 @@ StatGroup::scalar(const std::string &name) const
 }
 
 bool
-StatGroup::hasCounter(const std::string &name) const
-{
-    return counters_.count(name) > 0;
-}
-
-bool
 StatGroup::hasScalar(const std::string &name) const
 {
     return scalars_.count(name) > 0;
@@ -47,20 +40,6 @@ StatGroup::clear()
     scalars_.clear();
     counterSlots_.clear();
     scalarSlots_.clear();
-}
-
-std::string
-StatGroup::dump(const std::string &prefix) const
-{
-    std::ostringstream os;
-    for (const auto &[name, v] : counters_)
-        os << prefix << name << " = " << v << "\n";
-    for (const auto &[name, s] : scalars_) {
-        os << prefix << name << " : count=" << s.count()
-           << " mean=" << s.mean() << " min=" << s.min()
-           << " max=" << s.max() << " stddev=" << s.stddev() << "\n";
-    }
-    return os.str();
 }
 
 double

@@ -124,13 +124,9 @@ class StatGroup
 
     std::uint64_t counter(const std::string &name) const;
     const Scalar &scalar(const std::string &name) const;
-    bool hasCounter(const std::string &name) const;
     bool hasScalar(const std::string &name) const;
 
     void clear();
-
-    /** Human-readable dump, one line per stat. */
-    std::string dump(const std::string &prefix = "") const;
 
     /** Iteration access (the observability registry serializes us). */
     const std::map<std::string, std::uint64_t> &counters() const

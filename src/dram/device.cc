@@ -212,7 +212,6 @@ DramDevice::issue(Cmd cmd, const DramAddress &da, std::uint64_t now)
     cmdBusFreeAt_ = now + 1;
     stats_.inc(kCmdStat[static_cast<std::size_t>(cmd)]);
 
-#ifndef CAMO_OBS_NO_TRACING
     if (tracer_ && tracer_->enabled()) {
         obs::EventType type = obs::EventType::DramActivate;
         switch (cmd) {
@@ -228,7 +227,6 @@ DramDevice::issue(Cmd cmd, const DramAddress &da, std::uint64_t now)
                                  << 16) |
                                 da.bank);
     }
-#endif
 
     switch (cmd) {
       case Cmd::ACT: {

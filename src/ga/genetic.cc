@@ -174,19 +174,6 @@ GeneticOptimizer::nextGeneration()
     ++generation_;
 }
 
-const Genome &
-GeneticOptimizer::optimize(
-    const std::function<double(const Genome &)> &fitness)
-{
-    for (std::size_t gen = 0; gen < cfg_.generations; ++gen) {
-        for (std::size_t i = 0; i < population_.size(); ++i)
-            setFitness(i, fitness(population_[i]));
-        if (gen + 1 < cfg_.generations)
-            nextGeneration();
-    }
-    return best_;
-}
-
 shaper::BinConfig
 genomeToBinConfig(const Genome &genome, std::size_t offset,
                   const shaper::BinConfig &templ)

@@ -14,7 +14,6 @@
 #define CAMO_GA_GENETIC_H
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/camouflage/bin_config.h"
@@ -97,12 +96,6 @@ class GeneticOptimizer
     double bestFitnessOfCurrentGeneration() const;
 
     std::size_t generation() const { return generation_; }
-
-    /**
-     * Convenience offline driver: evaluate all candidates with
-     * `fitness` for cfg.generations generations; returns best().
-     */
-    const Genome &optimize(const std::function<double(const Genome &)> &fitness);
 
     const GaConfig &config() const { return cfg_; }
 

@@ -19,13 +19,13 @@ miseSlowdown(const MiseSample &sample)
 }
 
 double
-averageSlowdown(const MiseSample *samples, std::size_t count)
+miseFitness(const std::vector<MiseSample> &samples)
 {
-    camo_assert(count > 0, "no samples");
-    double sum = 0.0;
-    for (std::size_t i = 0; i < count; ++i)
-        sum += miseSlowdown(samples[i]);
-    return sum / static_cast<double>(count);
+    camo_assert(!samples.empty(), "no samples");
+    double total = 0.0;
+    for (const MiseSample &s : samples)
+        total += miseSlowdown(s);
+    return -total / static_cast<double>(samples.size());
 }
 
 } // namespace camo::ga

@@ -14,6 +14,7 @@
 #define CAMO_GA_MISE_H
 
 #include <cstdint>
+#include <vector>
 
 namespace camo::ga {
 
@@ -28,8 +29,9 @@ struct MiseSample
 /** Estimated slowdown (>= 1 when sharing hurts; 1 == no slowdown). */
 double miseSlowdown(const MiseSample &sample);
 
-/** Average slowdown across cores: the GA's objective (minimized). */
-double averageSlowdown(const MiseSample *samples, std::size_t count);
+/** GA fitness of one epoch: minus the mean slowdown over cores,
+ *  summed in core order (the GA maximizes fitness). */
+double miseFitness(const std::vector<MiseSample> &samples);
 
 } // namespace camo::ga
 

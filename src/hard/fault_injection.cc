@@ -131,36 +131,6 @@ faultKindName(FaultKind kind)
     return kKindNames[static_cast<std::size_t>(kind)];
 }
 
-std::string
-FaultSpec::toString() const
-{
-    std::ostringstream os;
-    os << faultKindName(kind);
-    if (rate > 0.0)
-        os << ":rate=" << rate;
-    if (at != kNoCycle)
-        os << ":at=" << at;
-    if (core != kNoCore)
-        os << ":core=" << core;
-    if (param != 0)
-        os << ":param=" << param;
-    if (index != kAnyIndex)
-        os << ":index=" << index;
-    return os.str();
-}
-
-std::string
-FaultPlan::toString() const
-{
-    std::ostringstream os;
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-        if (i)
-            os << ",";
-        os << faults[i].toString();
-    }
-    return os.str();
-}
-
 FaultPlan
 FaultPlan::parse(const std::string &spec, std::uint64_t seed)
 {

@@ -80,8 +80,6 @@ struct FaultSpec
     std::uint64_t param = 0;
     /** Worker faults: job index to hit (kAnyIndex = every job). */
     std::uint64_t index = kAnyIndex;
-
-    std::string toString() const;
 };
 
 /** A full injection campaign: seed + fault list. */
@@ -91,7 +89,6 @@ struct FaultPlan
     std::vector<FaultSpec> faults;
 
     bool empty() const { return faults.empty(); }
-    std::string toString() const;
 
     /**
      * Parse a spec string: comma-separated faults, each a kind token

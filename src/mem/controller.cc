@@ -413,14 +413,6 @@ MemoryController::drainResponses(Cycle now, std::vector<MemRequest> &out)
               });
 }
 
-std::vector<MemRequest>
-MemoryController::popResponses(Cycle now)
-{
-    std::vector<MemRequest> done;
-    drainResponses(now, done);
-    return done;
-}
-
 std::uint64_t
 MemoryController::earliestQueueAction(const TxnQueue &queue,
                                       std::uint64_t dram_now) const

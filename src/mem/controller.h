@@ -135,7 +135,7 @@ class MemoryController final : public sim::Component
      * Enqueue a transaction at CPU cycle `now`.
      * @pre canAccept(req.isWrite).
      * Writes are posted (no response); reads produce a response
-     * retrievable via popResponses().
+     * collected by drainResponses().
      * @param decode_addr address to decode DRAM coordinates from
      *        (kNoAddr = use req.addr); MemorySystem passes the
      *        channel-local address here while the request keeps its
@@ -146,11 +146,8 @@ class MemoryController final : public sim::Component
     /** Advance one CPU cycle; internally ticks the DRAM domain. */
     void tick(Cycle now) override;
 
-    /** Read responses that completed at or before CPU cycle `now`. */
-    std::vector<MemRequest> popResponses(Cycle now);
-
-    /** Append completed responses to `out` (allocation-free variant
-     *  of popResponses; same selection and ordering). */
+    /** Append the read responses that completed at or before CPU
+     *  cycle `now` to `out`, ordered by completion then id. */
     void drainResponses(Cycle now, std::vector<MemRequest> &out);
 
     /**
@@ -167,7 +164,7 @@ class MemoryController final : public sim::Component
     Cycle nextEventCycle(Cycle now, Cycle from) const override;
 
     /** Earliest CPU cycle at which a completed response becomes
-     *  visible to popResponses()/drainResponses(), or kNoCycle if no
+     *  visible to drainResponses(), or kNoCycle if no
      *  response is pending. */
     Cycle nextResponseReady() const;
 

@@ -66,14 +66,6 @@ MemorySystem::drainResponses(Cycle now, std::vector<MemRequest> &out)
     }
 }
 
-std::vector<MemRequest>
-MemorySystem::popResponses(Cycle now)
-{
-    std::vector<MemRequest> all;
-    drainResponses(now, all);
-    return all;
-}
-
 Cycle
 MemorySystem::nextEventCycle(Cycle now, Cycle from) const
 {
@@ -108,13 +100,6 @@ MemorySystem::setHighestPriorityCore(std::optional<CoreId> core)
 
 MemoryController &
 MemorySystem::channel(std::uint32_t i)
-{
-    camo_assert(i < channels_.size(), "channel out of range");
-    return *channels_[i];
-}
-
-const MemoryController &
-MemorySystem::channel(std::uint32_t i) const
 {
     camo_assert(i < channels_.size(), "channel out of range");
     return *channels_[i];

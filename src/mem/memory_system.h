@@ -42,10 +42,9 @@ class MemorySystem final : public sim::Component
     bool canAccept(Addr addr, bool is_write) const;
     void enqueue(MemRequest req, Cycle now);
     void tick(Cycle now) override;
-    std::vector<MemRequest> popResponses(Cycle now);
 
-    /** Append completed responses from every channel to `out`
-     *  (allocation-free popResponses; same merged ordering). */
+    /** Append completed responses from every channel to `out`, merged
+     *  in the same completion-then-id order as one channel's. */
     void drainResponses(Cycle now, std::vector<MemRequest> &out);
 
     /** Earliest CPU cycle >= `from` any channel could act at (see
@@ -89,7 +88,6 @@ class MemorySystem final : public sim::Component
         return static_cast<std::uint32_t>(channels_.size());
     }
     MemoryController &channel(std::uint32_t i);
-    const MemoryController &channel(std::uint32_t i) const;
 
     /** Aggregate queue depths across channels. */
     std::size_t readQueueSize() const;

@@ -153,43 +153,4 @@ LeakMonitor::cumulativeResult()
     return r;
 }
 
-json::Value
-LeakMonitor::toJson() const
-{
-    json::Value root = json::Value::makeObject();
-    json::Value cfg = json::Value::makeObject();
-    cfg["core"] = json::Value(static_cast<std::uint64_t>(cfg_.core));
-    cfg["window_cycles"] =
-        json::Value(static_cast<std::uint64_t>(cfg_.windowCycles));
-    cfg["check_period"] =
-        json::Value(static_cast<std::uint64_t>(cfg_.checkPeriod));
-    cfg["alert_threshold_bits"] =
-        cfg_.alerting() ? json::Value(cfg_.alertThresholdBits)
-                        : json::Value();
-    cfg["min_window_pairs"] = json::Value(cfg_.minWindowPairs);
-    cfg["consecutive_breaches"] = json::Value(
-        static_cast<std::uint64_t>(cfg_.consecutiveBreaches));
-    root["config"] = std::move(cfg);
-
-    root["last_window_mi_bits"] = json::Value(lastMiBits_);
-    root["peak_window_mi_bits"] = json::Value(peakMiBits_);
-    root["alerted"] = json::Value(alerted_);
-    if (alerted_) {
-        root["alert_at"] =
-            json::Value(static_cast<std::uint64_t>(alertAt_));
-    }
-
-    json::Value hist = json::Value::makeArray();
-    for (const LeakWindowSample &s : history_) {
-        json::Value row = json::Value::makeObject();
-        row["at"] = json::Value(static_cast<std::uint64_t>(s.at));
-        row["mi_bits"] = json::Value(s.miBits);
-        row["pairs"] = json::Value(s.pairs);
-        row["breach"] = json::Value(s.breach);
-        hist.push(std::move(row));
-    }
-    root["windows"] = std::move(hist);
-    return root;
-}
-
 } // namespace camo::obs

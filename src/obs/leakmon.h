@@ -41,7 +41,6 @@
 #include "src/common/histogram.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
-#include "src/obs/json.h"
 #include "src/security/mutual_information.h"
 
 namespace camo::obs {
@@ -134,9 +133,6 @@ class LeakMonitor
     security::ShapingMiResult cumulativeResult();
 
     const StatGroup &stats() const { return stats_; }
-
-    /** Config + state + window history as JSON (diagnostics). */
-    json::Value toJson() const;
 
   private:
     void consume();

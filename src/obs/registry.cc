@@ -1,7 +1,5 @@
 #include "src/obs/registry.h"
 
-#include <sstream>
-
 #include "src/common/logging.h"
 
 namespace camo::obs {
@@ -37,25 +35,6 @@ StatRegistry::paths() const
     out.reserve(groups_.size());
     for (const auto &[p, g] : groups_)
         out.push_back(p);
-    return out;
-}
-
-std::map<std::string, double>
-StatRegistry::flat() const
-{
-    std::map<std::string, double> out;
-    for (const auto &[path, group] : groups_) {
-        for (const auto &[name, v] : group->counters())
-            out[path + "." + name] = static_cast<double>(v);
-        for (const auto &[name, s] : group->scalars()) {
-            const std::string base = path + "." + name;
-            out[base + ".count"] = static_cast<double>(s.count());
-            out[base + ".mean"] = s.mean();
-            out[base + ".min"] = s.min();
-            out[base + ".max"] = s.max();
-            out[base + ".stddev"] = s.stddev();
-        }
-    }
     return out;
 }
 
@@ -96,15 +75,6 @@ StatRegistry::toJson() const
         }
     }
     return root;
-}
-
-std::string
-StatRegistry::dump() const
-{
-    std::ostringstream os;
-    for (const auto &[path, group] : groups_)
-        os << group->dump(path + ".");
-    return os.str();
 }
 
 } // namespace camo::obs

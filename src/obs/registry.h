@@ -2,14 +2,13 @@
  * @file
  * Hierarchical statistics registry: components register their
  * existing StatGroups under dotted paths ("core0", "mc.ch0.dram",
- * "shaper.req.core1"), and the registry serializes the whole tree —
- * flat text for humans, nested JSON for tools.
+ * "shaper.req.core1"), and the registry serializes the whole tree
+ * as nested JSON.
  */
 
 #ifndef CAMO_OBS_REGISTRY_H
 #define CAMO_OBS_REGISTRY_H
 
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,20 +37,11 @@ class StatRegistry
     std::size_t size() const { return groups_.size(); }
 
     /**
-     * Every stat as one fully-dotted name -> value ("mc.ch0.reads.
-     * served" -> 1234). Scalars expand to .mean/.min/.max/.stddev.
-     */
-    std::map<std::string, double> flat() const;
-
-    /**
      * Nested JSON tree following the dotted path segments. Each
      * group node holds "counters" (name -> integer) and "scalars"
      * (name -> {count, sum, mean, min, max, stddev}).
      */
     json::Value toJson() const;
-
-    /** Human-readable flat dump, one `path.name = value` per line. */
-    std::string dump() const;
 
   private:
     std::vector<std::pair<std::string, const StatGroup *>> groups_;

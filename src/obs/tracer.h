@@ -4,11 +4,10 @@
  *
  * Components hold a `Tracer *` (nullptr or disabled by default) and
  * emit through CAMO_TRACE_EVENT, which costs one pointer test and one
- * predictable branch when tracing is off — and compiles away entirely
- * under -DCAMO_OBS_NO_TRACING. With a sink attached, the ring drains
- * to it whenever it fills and on flush(); without one the ring keeps
- * the most recent `capacity` events (oldest dropped, counted). The
- * ring is allocated when tracing is first enabled.
+ * predictable branch when tracing is off. With a sink attached, the
+ * ring drains to it whenever it fills and on flush(); without one the
+ * ring keeps the most recent `capacity` events (oldest dropped,
+ * counted). The ring is allocated when tracing is first enabled.
  *
  * Sinks: JSONL (one object per line, the canonical analysis format),
  * CSV (loads directly into pandas/gnuplot for the Fig. 9/10 latency
@@ -161,17 +160,11 @@ class Tracer
  * `camo::obs::Tracer *` (may be null); the remaining arguments are
  * the Event designated-initializer payload.
  */
-#ifndef CAMO_OBS_NO_TRACING
 #define CAMO_TRACE_EVENT(tracer, ...) \
     do { \
         ::camo::obs::Tracer *camo_tr_ = (tracer); \
         if (camo_tr_ && camo_tr_->enabled()) \
             camo_tr_->emit(::camo::obs::Event{__VA_ARGS__}); \
     } while (0)
-#else
-#define CAMO_TRACE_EVENT(tracer, ...) \
-    do { \
-    } while (0)
-#endif
 
 #endif // CAMO_OBS_TRACER_H

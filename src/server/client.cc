@@ -16,22 +16,6 @@ Client::~Client()
     close();
 }
 
-Client::Client(Client &&other) noexcept : fd_(other.fd_)
-{
-    other.fd_ = -1;
-}
-
-Client &
-Client::operator=(Client &&other) noexcept
-{
-    if (this != &other) {
-        close();
-        fd_ = other.fd_;
-        other.fd_ = -1;
-    }
-    return *this;
-}
-
 void
 Client::close()
 {

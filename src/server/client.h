@@ -27,8 +27,6 @@ class Client
 
     Client(const Client &) = delete;
     Client &operator=(const Client &) = delete;
-    Client(Client &&other) noexcept;
-    Client &operator=(Client &&other) noexcept;
 
     /** Connect to a daemon socket. False with *error set on
      *  failure (daemon not up yet, path wrong, ...). */

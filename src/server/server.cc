@@ -49,7 +49,6 @@ poke(int fd, char token)
 Server::Server(const ServerConfig &cfg)
     : cfg_(cfg), service_(cfg.service)
 {
-    reloadSource_ = [this] { return cfg_.service; };
 }
 
 Server::~Server()
@@ -132,12 +131,6 @@ void
 Server::notifyReload()
 {
     poke(signalPipe_[1], 'h');
-}
-
-void
-Server::setReloadSource(std::function<ServiceConfig()> source)
-{
-    reloadSource_ = std::move(source);
 }
 
 void
@@ -328,7 +321,7 @@ Server::handleRequest(int fd, const obs::json::Value &req)
     }
 
     if (name == "reload") {
-        ServiceConfig limits = reloadSource_();
+        ServiceConfig limits = cfg_.service;
         if (const obs::json::Value *lim = req.find("limits")) {
             if (!lim->isObject())
                 return errorResponse("'limits' must be an object");
@@ -508,7 +501,7 @@ Server::run()
             }
         }
         if (reload)
-            service_.reload(reloadSource_());
+            service_.reload(cfg_.service);
         while (::read(completionPipe_[0], buf, sizeof buf) > 0) {
         }
 

@@ -18,15 +18,14 @@
  *
  * Lifecycle: SIGTERM (via notifyShutdown) or a `drain` request stops
  * admission, lets in-flight jobs finish, then run() returns 0.
- * SIGHUP (via notifyReload) re-applies the reload source's limits
- * without dropping queued jobs.
+ * SIGHUP (via notifyReload) re-applies the startup limits without
+ * dropping queued jobs.
  */
 
 #ifndef CAMO_SERVER_SERVER_H
 #define CAMO_SERVER_SERVER_H
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -68,10 +67,6 @@ class Server
     /** Async-signal-safe: request a limits reload (SIGHUP). */
     void notifyReload();
 
-    /** Supplies the limits applied on reload (default: the startup
-     *  config). Called on the poll thread, may read files. */
-    void setReloadSource(std::function<ServiceConfig()> source);
-
     Service &service() { return service_; }
 
   private:
@@ -103,7 +98,6 @@ class Server
 
     ServerConfig cfg_;
     Service service_;
-    std::function<ServiceConfig()> reloadSource_;
     int listenFd_ = -1;
     int signalPipe_[2] = {-1, -1};
     int completionPipe_[2] = {-1, -1};

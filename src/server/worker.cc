@@ -19,20 +19,6 @@
 
 namespace camo::server {
 
-const char *
-workerOutcomeName(WorkerOutcome o)
-{
-    switch (o) {
-      case WorkerOutcome::Success: return "success";
-      case WorkerOutcome::Failure: return "failure";
-      case WorkerOutcome::Transient: return "transient";
-      case WorkerOutcome::Crashed: return "crashed";
-      case WorkerOutcome::Deadline: return "deadline";
-      case WorkerOutcome::Canceled: return "canceled";
-    }
-    return "unknown";
-}
-
 namespace {
 
 /** camosim exit codes, mirrored (keep in sync with tools/camosim.cc

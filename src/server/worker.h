@@ -41,8 +41,6 @@ enum class WorkerOutcome
     Canceled,  ///< cancel flag observed; child killed
 };
 
-const char *workerOutcomeName(WorkerOutcome o);
-
 /** Classified result of one forked attempt. */
 struct WorkerResult
 {

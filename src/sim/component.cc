@@ -28,16 +28,6 @@ ComponentGraph::add(Component *borrowed)
     return borrowed;
 }
 
-Component *
-ComponentGraph::find(const std::string &name) const
-{
-    for (Component *c : order_) {
-        if (c->name() == name)
-            return c;
-    }
-    return nullptr;
-}
-
 Cycle
 ComponentGraph::nextEventCycle(Cycle now, Cycle from) const
 {

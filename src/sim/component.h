@@ -182,9 +182,6 @@ class ComponentGraph
     const std::vector<Component *> &order() const { return order_; }
     std::size_t size() const { return order_.size(); }
 
-    /** First component with this name, or nullptr. */
-    Component *find(const std::string &name) const;
-
     /** Tick every component in topology order. */
     void
     tick(Cycle now)

@@ -200,17 +200,22 @@ evaluateGaChild(const SystemPlan &plan, const ga::Genome &genome,
     }
     const std::unique_ptr<System> system = plan.instantiate(ov);
     system->run(epoch_cycles);
+    return epochMiseFitness(*system, alone_rate, epoch_cycles);
+}
 
-    double total = 0.0;
-    for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-        ga::MiseSample s;
-        s.alpha = system->coreAt(c).alpha();
-        s.aloneRate = alone_rate[c];
-        s.sharedRate = static_cast<double>(system->servedReads(c)) /
-                       static_cast<double>(epoch_cycles);
-        total += ga::miseSlowdown(s);
+double
+epochMiseFitness(const System &system,
+                 const std::vector<double> &alone_rate, Cycle epoch_cycles)
+{
+    std::vector<ga::MiseSample> samples(system.numCores());
+    for (std::uint32_t c = 0; c < system.numCores(); ++c) {
+        samples[c].alpha = system.coreAt(c).alpha();
+        samples[c].aloneRate = alone_rate[c];
+        samples[c].sharedRate =
+            static_cast<double>(system.servedReads(c)) /
+            static_cast<double>(epoch_cycles);
     }
-    return -total / static_cast<double>(cfg.numCores);
+    return ga::miseFitness(samples);
 }
 
 std::vector<double>

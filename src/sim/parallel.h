@@ -235,6 +235,16 @@ double evaluateGaChild(const SystemPlan &plan, const ga::Genome &genome,
                        const std::vector<double> &alone_rate,
                        Cycle epoch_cycles);
 
+/**
+ * GA fitness of the epoch `system` just ran: ga::miseFitness over
+ * every core, with each core's shared service rate measured over
+ * `epoch_cycles` against its `alone_rate`. The one scoring path of
+ * tuneOnline() and evaluateGaChild().
+ */
+double epochMiseFitness(const System &system,
+                        const std::vector<double> &alone_rate,
+                        Cycle epoch_cycles);
+
 } // namespace camo::sim
 
 #endif // CAMO_SIM_PARALLEL_H

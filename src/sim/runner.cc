@@ -5,7 +5,6 @@
 #include "src/camouflage/phase_detector.h"
 
 #include "src/common/logging.h"
-#include "src/ga/mise.h"
 #include "src/hard/error.h"
 #include "src/security/leakage_bound.h"
 #include "src/sim/parallel.h"
@@ -109,16 +108,6 @@ maxSlowdownVs(const RunMetrics &baseline, const RunMetrics &test)
     for (const double s : slowdownVs(baseline, test))
         worst = std::max(worst, s);
     return worst;
-}
-
-double
-harmonicSpeedupVs(const RunMetrics &baseline, const RunMetrics &test)
-{
-    const auto slow = slowdownVs(baseline, test);
-    double denom = 0.0;
-    for (const double s : slow)
-        denom += s; // 1 / (1/s) summed == sum of slowdowns
-    return denom > 0.0 ? static_cast<double>(slow.size()) / denom : 0.0;
 }
 
 std::vector<shaper::TrafficEvent>
@@ -275,19 +264,8 @@ tuneOnline(System &system, const SystemConfig &cfg,
             apply(optimizer.population()[child]);
             system.clearEpochCounters();
             system.run(epoch_cycles);
-
-            double total = 0.0;
-            for (std::uint32_t c = 0; c < cores; ++c) {
-                ga::MiseSample s;
-                s.alpha = system.coreAt(c).alpha();
-                s.aloneRate = alone_rate[c];
-                s.sharedRate =
-                    static_cast<double>(system.servedReads(c)) /
-                    static_cast<double>(epoch_cycles);
-                total += ga::miseSlowdown(s);
-            }
             const double fitness =
-                -total / static_cast<double>(cores);
+                epochMiseFitness(system, alone_rate, epoch_cycles);
             optimizer.setFitness(child, fitness);
             generation_best = std::max(generation_best, fitness);
         }

@@ -64,14 +64,6 @@ std::vector<double> slowdownVs(const RunMetrics &baseline,
 double maxSlowdownVs(const RunMetrics &baseline, const RunMetrics &test);
 
 /**
- * Harmonic mean of per-core speedups (1/slowdown): the balanced
- * system-level summary (harmonic weighting punishes starving any
- * single core, unlike the arithmetic mean).
- */
-double harmonicSpeedupVs(const RunMetrics &baseline,
-                         const RunMetrics &test);
-
-/**
  * Program a BinConfig whose credits reproduce a measured inter-arrival
  * histogram (Figs. 9/10: "the bin configuration is set the same as the
  * response distribution of w(ADVERSARY, astar)").

@@ -504,14 +504,6 @@ builtinSampleTrace(TraceFileFormat format)
     return dramsim2;
 }
 
-FileTrace::FileTrace(std::vector<TraceItem> items, std::string name,
-                     Addr addr_base)
-    : FileTrace(std::make_shared<const std::vector<TraceItem>>(
-                    std::move(items)),
-                std::move(name), addr_base)
-{
-}
-
 FileTrace::FileTrace(std::shared_ptr<const std::vector<TraceItem>> items,
                      std::string name, Addr addr_base)
     : items_(std::move(items)), name_(std::move(name)),
@@ -570,16 +562,6 @@ loadTraceItems(TraceFileFormat format, const std::string &path)
     }
     return std::make_shared<const std::vector<TraceItem>>(
         std::move(items));
-}
-
-std::unique_ptr<TraceSource>
-loadTraceWorkload(TraceFileFormat format, const std::string &path,
-                  Addr addr_base)
-{
-    const std::string name =
-        std::string(traceFileFormatName(format)) + ":" + path;
-    return std::make_unique<FileTrace>(loadTraceItems(format, path),
-                                       name, addr_base);
 }
 
 } // namespace camo::trace

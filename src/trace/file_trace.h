@@ -101,9 +101,6 @@ const std::string &builtinSampleTrace(TraceFileFormat format);
 class FileTrace final : public TraceSource
 {
   public:
-    FileTrace(std::vector<TraceItem> items, std::string name,
-              Addr addr_base);
-
     /** Share an already-parsed item sequence (SystemPlan compiles a
      *  trace file once per sweep; every run replays the same
      *  immutable items). */
@@ -131,15 +128,6 @@ class FileTrace final : public TraceSource
  */
 std::shared_ptr<const std::vector<TraceItem>>
 loadTraceItems(TraceFileFormat format, const std::string &path);
-
-/**
- * Load `path` (or the embedded sample when `path` == "@sample") and
- * build the replaying source.
- * @throws hard::ConfigError on unreadable files or malformed content.
- */
-std::unique_ptr<TraceSource> loadTraceWorkload(TraceFileFormat format,
-                                               const std::string &path,
-                                               Addr addr_base);
 
 } // namespace camo::trace
 

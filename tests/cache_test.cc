@@ -134,7 +134,7 @@ TEST(Hierarchy, MissGoesToMemory)
     const auto r = h.access(0x10000, false, 100);
     EXPECT_EQ(r.kind, AccessKind::Miss);
     EXPECT_EQ(r.lineAddr, 0x10000u);
-    const auto out = h.popOutgoing();
+    const auto &out = h.outgoing();
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].addr, 0x10000u);
     EXPECT_FALSE(out[0].isWrite);
@@ -145,7 +145,7 @@ TEST(Hierarchy, FillMakesSubsequentAccessesHit)
 {
     CacheHierarchy h(0, smallConfig());
     h.access(0x10000, false, 100);
-    h.popOutgoing();
+    h.clearOutgoing();
     const Cycle done = h.onFill(0x10000, 200);
     EXPECT_GT(done, 200u);
     const auto r = h.access(0x10000, false, 300);
@@ -160,7 +160,7 @@ TEST(Hierarchy, L2HitAfterL1Eviction)
     // 0x200, 0x400 share a set) while it stays in L2 (4KB, 4-way).
     for (const Addr a : {0x10000u, 0x10200u, 0x10400u}) {
         h.access(a, false, 1);
-        h.popOutgoing();
+        h.clearOutgoing();
         h.onFill(a, 10);
     }
     const auto r = h.access(0x10000, false, 100);
@@ -173,7 +173,7 @@ TEST(Hierarchy, CoalescingSecondMissToSameLine)
     EXPECT_EQ(h.access(0x20000, false, 1).kind, AccessKind::Miss);
     EXPECT_EQ(h.access(0x20020, false, 2).kind, AccessKind::Coalesced)
         << "same 64B line";
-    EXPECT_EQ(h.popOutgoing().size(), 1u) << "one memory request only";
+    EXPECT_EQ(h.outgoing().size(), 1u) << "one memory request only";
     EXPECT_EQ(h.mshrsInUse(), 1u);
 }
 
@@ -195,7 +195,7 @@ TEST(Hierarchy, StoreMissInstallsDirtyAndWritesBack)
 {
     CacheHierarchy h(0, smallConfig());
     EXPECT_EQ(h.access(0x50000, true, 1).kind, AccessKind::Miss);
-    h.popOutgoing();
+    h.clearOutgoing();
     h.onFill(0x50000, 10);
     EXPECT_TRUE(h.l1().isDirty(0x50000));
 
@@ -206,12 +206,12 @@ TEST(Hierarchy, StoreMissInstallsDirtyAndWritesBack)
     for (int i = 1; i <= 10; ++i) {
         const Addr a = 0x50000 + static_cast<Addr>(i) * 0x1000;
         h.access(a, false, 100 + i);
-        h.popOutgoing();
+        h.clearOutgoing();
         h.onFill(a, 200 + i);
     }
     bool saw_writeback = false;
     // The writeback was emitted during one of the fills above; it was
-    // drained by popOutgoing already, so count stats instead.
+    // cleared from the outgoing queue already, so count stats instead.
     saw_writeback = h.stats().counter("writebacks") > 0;
     EXPECT_TRUE(saw_writeback);
 }
@@ -227,7 +227,7 @@ TEST(Hierarchy, RequestIdsAreUniquePerCore)
     CacheHierarchy h(3, smallConfig());
     h.access(0x1000000, false, 1);
     h.access(0x2000000, false, 1);
-    const auto out = h.popOutgoing();
+    const auto &out = h.outgoing();
     ASSERT_EQ(out.size(), 2u);
     EXPECT_NE(out[0].id, out[1].id);
     EXPECT_EQ(out[0].core, 3u);
@@ -247,7 +247,7 @@ TEST(Hierarchy, HotSetHitsProperty)
         if (r.kind == AccessKind::L1Hit) {
             ++hits;
         } else if (r.kind == AccessKind::Miss) {
-            h.popOutgoing();
+            h.clearOutgoing();
             h.onFill(h.l1().lineAddrOf(a), static_cast<Cycle>(i));
         }
         ++total;

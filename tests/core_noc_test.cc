@@ -129,11 +129,11 @@ TEST(Core, WaitCyclesPausesDispatch)
     Core core(0, {4, 128}, trace, cache);
     for (Cycle t = 1; t <= 400; ++t)
         core.tick(t);
-    EXPECT_TRUE(cache.popOutgoing().empty())
+    EXPECT_TRUE(cache.outgoing().empty())
         << "no memory traffic during the busy-wait";
     for (Cycle t = 401; t <= 600; ++t)
         core.tick(t);
-    EXPECT_EQ(cache.popOutgoing().size(), 1u);
+    EXPECT_EQ(cache.outgoing().size(), 1u);
 }
 
 TEST(Core, EpochCountersClear)

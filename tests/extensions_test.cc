@@ -149,10 +149,13 @@ TEST(Fcfs, ServesStrictlyInOrder)
         expect.push_back(i);
     }
     std::vector<ReqId> got;
+    std::vector<MemRequest> done;
     while (got.size() < 12 && now < 200000) {
         ++now;
         mc.tick(now);
-        for (auto &resp : mc.popResponses(now))
+        done.clear();
+        mc.drainResponses(now, done);
+        for (const auto &resp : done)
             got.push_back(resp.id);
     }
     ASSERT_EQ(got.size(), 12u);
@@ -176,11 +179,11 @@ TEST(Fcfs, SlowerThanFrFcfsOnRowLocality)
                      static_cast<Addr>(i / 2) * 64;
             mc.enqueue(r, now);
         }
-        std::size_t served = 0;
-        while (served < 16 && now < 300000) {
+        std::vector<MemRequest> done;
+        while (done.size() < 16 && now < 300000) {
             ++now;
             mc.tick(now);
-            served += mc.popResponses(now).size();
+            mc.drainResponses(now, done);
         }
         return now;
     };
@@ -202,10 +205,11 @@ TEST(PagePolicy, ClosedPolicyClosesIdleRows)
     r.addr = 0x1000;
     mc.enqueue(r, now);
     // Serve it, then idle long enough for the policy to close rows.
+    std::vector<MemRequest> done;
     for (int i = 0; i < 2000; ++i) {
         ++now;
         mc.tick(now);
-        mc.popResponses(now);
+        mc.drainResponses(now, done);
     }
     EXPECT_GT(mc.stats().counter("pagepolicy.closes"), 0u);
     const auto da = mc.decode(0x1000, 0);
@@ -221,10 +225,11 @@ TEST(PagePolicy, OpenPolicyLeavesRowsOpen)
     r.core = 0;
     r.addr = 0x1000;
     mc.enqueue(r, now);
+    std::vector<MemRequest> done;
     for (int i = 0; i < 2000; ++i) {
         ++now;
         mc.tick(now);
-        mc.popResponses(now);
+        mc.drainResponses(now, done);
     }
     const auto da = mc.decode(0x1000, 0);
     EXPECT_TRUE(mc.device().isRowOpen(da));

@@ -49,8 +49,7 @@ collectResponses(MemoryController &mc, std::size_t n, Cycle &now,
     while (got.size() < n && now < cap) {
         ++now;
         mc.tick(now);
-        for (auto &r : mc.popResponses(now))
-            got.push_back(std::move(r));
+        mc.drainResponses(now, got);
     }
     return got;
 }
@@ -103,6 +102,7 @@ TEST(Controller, ResponsesComeBackForAllReads)
     std::set<ReqId> outstanding;
     ReqId next_id = 1;
     std::size_t delivered = 0;
+    std::vector<MemRequest> done;
     for (int step = 0; step < 60000 && delivered < 200; ++step) {
         ++now;
         if (outstanding.size() < 16 && rng.chance(0.05) &&
@@ -114,7 +114,9 @@ TEST(Controller, ResponsesComeBackForAllReads)
             outstanding.insert(id);
         }
         mc.tick(now);
-        for (auto &resp : mc.popResponses(now)) {
+        done.clear();
+        mc.drainResponses(now, done);
+        for (const auto &resp : done) {
             ASSERT_TRUE(outstanding.count(resp.id))
                 << "unexpected response " << resp.id;
             outstanding.erase(resp.id);
@@ -558,6 +560,7 @@ TEST(FixedService, EndToEndSpacingProperty)
     std::vector<std::uint64_t> served_at; // DRAM cycles of core-0 CAS
     std::uint64_t last_served = 0;
     std::uint64_t count = 0;
+    std::vector<MemRequest> done;
     for (int i = 0; i < 120000; ++i) {
         ++now;
         if (mc.canAccept(false) && rng.chance(0.1))
@@ -572,7 +575,8 @@ TEST(FixedService, EndToEndSpacingProperty)
             last_served = t;
             ++count;
         }
-        mc.popResponses(now);
+        done.clear();
+        mc.drainResponses(now, done);
     }
     EXPECT_GT(count, 50u);
 }

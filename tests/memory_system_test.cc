@@ -47,8 +47,7 @@ TEST(MemorySystem, SingleChannelPassThrough)
     while (got.size() < 1 && now < 100000) {
         ++now;
         ms.tick(now);
-        for (auto &r : ms.popResponses(now))
-            got.push_back(std::move(r));
+        ms.drainResponses(now, got);
     }
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0].addr, 0x1000u) << "original address preserved";
@@ -91,10 +90,13 @@ TEST(MemorySystem, ResponsesMergeFromAllChannels)
         ms.enqueue(req(i, i * 64), now);
         outstanding.insert(i);
     }
+    std::vector<MemRequest> done;
     while (!outstanding.empty() && now < 200000) {
         ++now;
         ms.tick(now);
-        for (auto &r : ms.popResponses(now)) {
+        done.clear();
+        ms.drainResponses(now, done);
+        for (const auto &r : done) {
             ASSERT_TRUE(outstanding.count(r.id));
             outstanding.erase(r.id);
         }
@@ -110,7 +112,7 @@ TEST(MemorySystem, TwoChannelsRoughlyDoubleStreamThroughput)
         MemorySystem ms(cfg);
         Cycle now = 0;
         ReqId id = 0;
-        std::size_t served = 0;
+        std::vector<MemRequest> done;
         Rng rng(7);
         for (; now < 60000; ++now) {
             // Saturating random-address read stream.
@@ -118,9 +120,9 @@ TEST(MemorySystem, TwoChannelsRoughlyDoubleStreamThroughput)
             if (ms.canAccept(a, false))
                 ms.enqueue(req(id++, a), now);
             ms.tick(now);
-            served += ms.popResponses(now).size();
+            ms.drainResponses(now, done);
         }
-        return served;
+        return done.size();
     };
     const auto one = serve(1);
     const auto two = serve(2);

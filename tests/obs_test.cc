@@ -212,7 +212,7 @@ TEST(Tracer, EventToJsonOmitsAbsentFields)
 
 // ------------------------------------------------------------- registry
 
-TEST(Registry, FlatUsesDottedNames)
+TEST(Registry, FindResolvesDottedPaths)
 {
     StatGroup mc, dram;
     mc.inc("reads.served", 12);
@@ -224,12 +224,14 @@ TEST(Registry, FlatUsesDottedNames)
     reg.add("mc.ch0", &mc);
     reg.add("mc.ch0.dram", &dram);
 
-    const auto flat = reg.flat();
-    EXPECT_DOUBLE_EQ(flat.at("mc.ch0.reads.served"), 12.0);
-    EXPECT_DOUBLE_EQ(flat.at("mc.ch0.queue.latency.dram.mean"), 5.0);
-    EXPECT_DOUBLE_EQ(flat.at("mc.ch0.dram.cmd.ACT"), 3.0);
     EXPECT_EQ(reg.find("mc.ch0"), &mc);
+    EXPECT_EQ(reg.find("mc.ch0.dram"), &dram);
+    EXPECT_EQ(reg.find("mc"), nullptr) << "no group at a bare prefix";
     EXPECT_EQ(reg.find("nope"), nullptr);
+    EXPECT_EQ(reg.find("mc.ch0")->counter("reads.served"), 12u);
+    EXPECT_DOUBLE_EQ(
+        reg.find("mc.ch0")->scalar("queue.latency.dram").mean(), 5.0);
+    EXPECT_EQ(reg.find("mc.ch0.dram")->counter("cmd.ACT"), 3u);
 }
 
 TEST(Registry, JsonTreeNestsByPathSegment)
@@ -275,10 +277,14 @@ TEST(Registry, SystemStatsJsonRoundTrips)
         EXPECT_EQ(*parsed, tree);
     }
 
-    // The flat view agrees with the live groups.
-    const auto flat = reg.flat();
+    // The tree agrees with the live groups.
+    const auto *reads = tree.find("core0")
+                            ->find("cache")
+                            ->find("counters")
+                            ->find("accesses.read");
+    ASSERT_NE(reads, nullptr);
     EXPECT_DOUBLE_EQ(
-        flat.at("core0.cache.accesses.read"),
+        reads->asNumber(),
         static_cast<double>(
             reg.find("core0.cache")->counter("accesses.read")));
 }
