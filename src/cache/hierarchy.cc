@@ -7,8 +7,7 @@ namespace camo::cache {
 
 CacheHierarchy::CacheHierarchy(CoreId core, const HierarchyConfig &cfg,
                                Arena *arena)
-    : sim::Component("core" + std::to_string(core) + ".cache"),
-      core_(core), cfg_(cfg), l1_(cfg.l1), l2_(cfg.l2),
+    : core_(core), cfg_(cfg), l1_(cfg.l1), l2_(cfg.l2),
       mshr_(ArenaAllocator<std::pair<const Addr, std::uint32_t>>(arena)),
       pendingStoreLines_(ArenaAllocator<Addr>(arena))
 {
@@ -20,7 +19,7 @@ CacheHierarchy::CacheHierarchy(CoreId core, const HierarchyConfig &cfg,
 void
 CacheHierarchy::registerStats(obs::StatRegistry &reg) const
 {
-    reg.add(name(), &stats_);
+    reg.add("core" + std::to_string(core_) + ".cache", &stats_);
 }
 
 MemRequest

@@ -64,12 +64,13 @@ struct HierarchyConfig
 
 /** One core's L1 + L2 and the memory-facing miss machinery.
  *
- * A passive sim::Component: it acts only when its owner calls
- * access()/onFill(), so tick() is a no-op and it never constrains
- * fast-forward. Each request it appends to the outgoing queue wakes
- * the subscribed consumer (the core's request-pipe station) at the
- * cycle the request was minted. */
-class CacheHierarchy final : public sim::Component
+ * Passive: it acts only when its core calls access() or the response
+ * path calls onFill(), so it has no clock of its own and is not a
+ * sim::Component. The owning core forwards its tracer and stats
+ * ("core{i}.cache"). Each request it appends to the outgoing queue
+ * wakes the subscribed consumer (the core's request-pipe station) at
+ * the cycle the request was minted. */
+class CacheHierarchy final
 {
   public:
     /** `arena` (optional) backs the MSHR bookkeeping containers; see
@@ -125,14 +126,8 @@ class CacheHierarchy final : public sim::Component
     /** Observability hook (nullptr disables emission). */
     void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
 
-    // ----- sim::Component adaptation -------------------------------
-    Cycle
-    nextEventCycle(Cycle /*now*/, Cycle /*from*/) const override
-    {
-        return kNoCycle; // passive: only acts when called
-    }
-    void attachTracer(obs::Tracer *tracer) override { setTracer(tracer); }
-    void registerStats(obs::StatRegistry &reg) const override;
+    /** Register the stats under "core{i}.cache". */
+    void registerStats(obs::StatRegistry &reg) const;
 
   private:
     void emitWriteback(Addr lineAddr, Cycle now);

@@ -9,8 +9,7 @@ namespace camo::shaper {
 
 RequestShaper::RequestShaper(CoreId core, const RequestShaperConfig &cfg,
                              std::uint64_t seed, Arena *arena)
-    : sim::Component("shaper.req.core" + std::to_string(core)),
-      core_(core),
+    : core_(core),
       cfg_(cfg),
       bins_(cfg.bins),
       queue_(ArenaAllocator<MemRequest>(arena)),
@@ -213,8 +212,9 @@ RequestShaper::tickStrictSlot(Cycle now, bool downstream_ready)
 void
 RequestShaper::registerStats(obs::StatRegistry &reg) const
 {
-    reg.add(name(), &stats_);
-    reg.add(name() + ".bins", &bins_.stats());
+    const std::string name = "shaper.req.core" + std::to_string(core_);
+    reg.add(name, &stats_);
+    reg.add(name + ".bins", &bins_.stats());
 }
 
 } // namespace camo::shaper

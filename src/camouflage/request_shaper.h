@@ -24,7 +24,7 @@
 #include "src/common/stats.h"
 #include "src/common/types.h"
 #include "src/mem/request.h"
-#include "src/sim/component.h"
+#include "src/obs/registry.h"
 
 namespace camo::shaper {
 
@@ -76,19 +76,16 @@ struct RequestShaperConfig
 
 /** The per-core request shaping unit.
  *
- * As a sim::Component the shaper is driven through the rich
- * tick(now, downstream_ready) overload by its owning station (the
- * release decision is coupled to channel backpressure); the inherited
- * one-argument tick() is a no-op. */
-class RequestShaper final : public sim::Component
+ * Not a sim::Component: its core's request-pipe station owns it and
+ * drives its tick, bound, idle skip, tracer and stats (the release
+ * decision is coupled to channel backpressure). */
+class RequestShaper final
 {
   public:
     /** `arena` (optional) backs the pending-request queue; see
      *  src/common/arena.h. */
     RequestShaper(CoreId core, const RequestShaperConfig &cfg,
                   std::uint64_t seed, Arena *arena = nullptr);
-
-    using sim::Component::tick;
 
     bool canAccept() const { return queue_.size() < cfg_.queueCap; }
 
@@ -116,16 +113,10 @@ class RequestShaper final : public sim::Component
      * Account `n` skipped idle cycles exactly as `n` tick() calls in
      * the current (provably idle) state would.
      */
-    void skipIdleCycles(Cycle n) override;
+    void skipIdleCycles(Cycle n);
 
-    // ----- sim::Component adaptation -------------------------------
-    Cycle
-    nextEventCycle(Cycle /*now*/, Cycle from) const override
-    {
-        return nextEventCycle(from);
-    }
-    void attachTracer(obs::Tracer *tracer) override { setTracer(tracer); }
-    void registerStats(obs::StatRegistry &reg) const override;
+    /** Register "shaper.req.core{i}" and its ".bins". */
+    void registerStats(obs::StatRegistry &reg) const;
 
     /** Runtime fake-generation toggle (the online GA disables fakes
      *  during highest-priority-mode measurement epochs). */

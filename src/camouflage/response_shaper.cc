@@ -9,8 +9,7 @@ namespace camo::shaper {
 
 ResponseShaper::ResponseShaper(CoreId core, const ResponseShaperConfig &cfg,
                                Arena *arena)
-    : sim::Component("shaper.resp.core" + std::to_string(core)),
-      core_(core),
+    : core_(core),
       cfg_(cfg),
       bins_(cfg.bins),
       queue_(ArenaAllocator<MemRequest>(arena)),
@@ -151,8 +150,9 @@ ResponseShaper::takePriorityWarning()
 void
 ResponseShaper::registerStats(obs::StatRegistry &reg) const
 {
-    reg.add(name(), &stats_);
-    reg.add(name() + ".bins", &bins_.stats());
+    const std::string name = "shaper.resp.core" + std::to_string(core_);
+    reg.add(name, &stats_);
+    reg.add(name + ".bins", &bins_.stats());
 }
 
 } // namespace camo::shaper

@@ -26,7 +26,7 @@
 #include "src/common/stats.h"
 #include "src/common/types.h"
 #include "src/mem/request.h"
-#include "src/sim/component.h"
+#include "src/obs/registry.h"
 
 namespace camo::shaper {
 
@@ -48,18 +48,15 @@ struct ResponseShaperConfig
 
 /** The per-core response shaping unit at the MC egress.
  *
- * Like RequestShaper, driven through the rich tick(now,
- * downstream_ready) overload by its owning station; the inherited
- * one-argument tick() is a no-op. */
-class ResponseShaper final : public sim::Component
+ * Like RequestShaper, not a sim::Component: its core's response-pipe
+ * station owns and drives it. */
+class ResponseShaper final
 {
   public:
     /** `arena` (optional) backs the buffered-response queue; see
      *  src/common/arena.h. */
     ResponseShaper(CoreId core, const ResponseShaperConfig &cfg,
                    Arena *arena = nullptr);
-
-    using sim::Component::tick;
 
     bool canAccept() const { return queue_.size() < cfg_.queueCap; }
 
@@ -92,16 +89,10 @@ class ResponseShaper final : public sim::Component
     Cycle nextEventCycle(Cycle from) const;
 
     /** Account `n` skipped idle cycles (stall accounting only). */
-    void skipIdleCycles(Cycle n) override;
+    void skipIdleCycles(Cycle n);
 
-    // ----- sim::Component adaptation -------------------------------
-    Cycle
-    nextEventCycle(Cycle /*now*/, Cycle from) const override
-    {
-        return nextEventCycle(from);
-    }
-    void attachTracer(obs::Tracer *tracer) override { setTracer(tracer); }
-    void registerStats(obs::StatRegistry &reg) const override;
+    /** Register "shaper.resp.core{i}" and its ".bins". */
+    void registerStats(obs::StatRegistry &reg) const;
 
     /** Runtime fake-generation toggle. */
     void setGenerateFakes(bool on) { cfg_.generateFakes = on; }

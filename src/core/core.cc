@@ -23,10 +23,11 @@ void
 Core::registerStats(obs::StatRegistry &reg) const
 {
     reg.add(name(), &stats_);
+    cache_.registerStats(reg);
 }
 
 void
-Core::clearEpochCounters()
+Core::reset()
 {
     retired_ = 0;
     cycles_ = 0;

@@ -74,7 +74,7 @@ class Core final : public sim::Component
     }
 
     /** Reset retired/cycle/stall counters (epoch boundaries). */
-    void clearEpochCounters();
+    void reset() override;
 
     /**
      * Earliest cycle >= `from` at which tick() could make progress
@@ -82,26 +82,25 @@ class Core final : public sim::Component
      * only an external event (an LLC fill) can unblock the core.
      * Cycles before it are idle; account them via skipIdleCycles().
      */
-    Cycle nextEventCycle(Cycle from) const;
+    Cycle nextEventCycle(Cycle from) const override;
 
     /** Account `n` skipped idle cycles exactly as `n` tick() calls in
      *  the current (provably idle) state would. */
     void skipIdleCycles(Cycle n) override;
 
-    /** Observability hook (nullptr disables emission). */
-    void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
+    /** Observability hook (nullptr disables emission); the core's
+     *  cache hierarchy emits through the same tracer. */
+    void
+    attachTracer(obs::Tracer *tracer) override
+    {
+        tracer_ = tracer;
+        cache_.setTracer(tracer);
+    }
+
+    /** Registers "core{i}" and the cache's "core{i}.cache". */
+    void registerStats(obs::StatRegistry &reg) const override;
 
     const StatGroup &stats() const { return stats_; }
-
-    // ----- sim::Component adaptation -------------------------------
-    Cycle
-    nextEventCycle(Cycle /*now*/, Cycle from) const override
-    {
-        return nextEventCycle(from);
-    }
-    void attachTracer(obs::Tracer *tracer) override { setTracer(tracer); }
-    void reset() override { clearEpochCounters(); }
-    void registerStats(obs::StatRegistry &reg) const override;
 
   private:
     struct Entry

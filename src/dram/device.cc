@@ -31,7 +31,7 @@ static_assert(std::size(kCmdStat) ==
 } // namespace
 
 DramDevice::DramDevice(const DramOrganization &org, const DramTiming &timing)
-    : sim::Component("dram"), org_(org), timing_(timing)
+    : org_(org), timing_(timing)
 {
     ranks_.resize(org.ranksPerChannel);
     for (auto &rank : ranks_)

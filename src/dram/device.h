@@ -28,7 +28,6 @@
 #include "src/dram/energy.h"
 #include "src/dram/timing.h"
 #include "src/obs/tracer.h"
-#include "src/sim/component.h"
 
 namespace camo::dram {
 
@@ -81,11 +80,10 @@ struct IssueResult
 
 /** One DRAM channel: ranks x banks behind one command/data bus.
  *
- * A command-driven sim::Component: the owning controller issues every
- * command and owns the clock crossing, so tick() is a no-op and the
- * device never constrains fast-forward (the controller's
- * nextEventCycle covers it). */
-class DramDevice final : public sim::Component
+ * Command-driven: the owning controller issues every command and owns
+ * the clock crossing, so the device has no clock of its own and is
+ * not a sim::Component (the controller's nextEventCycle bounds it). */
+class DramDevice final
 {
   public:
     DramDevice(const DramOrganization &org, const DramTiming &timing);
@@ -177,14 +175,6 @@ class DramDevice final : public sim::Component
      *  refreshes this each DRAM tick so the trace timeline stays in
      *  one (CPU) clock domain. */
     void setCpuTime(Cycle cpu_now) { cpuNow_ = cpu_now; }
-
-    // ----- sim::Component adaptation -------------------------------
-    Cycle
-    nextEventCycle(Cycle /*now*/, Cycle /*from*/) const override
-    {
-        return kNoCycle; // command-driven: the controller schedules
-    }
-    void attachTracer(obs::Tracer *tracer) override { setTracer(tracer); }
 
   private:
     struct RankState

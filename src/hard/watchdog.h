@@ -4,13 +4,15 @@
  *
  * The System polls the watchdog with per-core progress counters
  * (instructions retired + responses served) and a pending-work flag,
- * plus its nextEventCycle() lower bound. The watchdog fires when
+ * plus the next cycle anything can happen at: the event kernel passes
+ * its calendar's next due cycle, the per-cycle oracle the component
+ * graph's nextEventCycle() fold. The watchdog fires when
  *
  *  - a core with pending work has made no progress for a full
  *    window of cycles (a wedged shaper, a starved credit engine), or
- *  - nextEventCycle() reports kNoCycle while work is pending — a
- *    hard deadlock the fast-forward path would otherwise silently
- *    skip over, turning a hang into a wrong result.
+ *  - that next cycle is kNoCycle while work is pending — a hard
+ *    deadlock the event kernel would otherwise silently skip over,
+ *    turning a hang into a wrong result.
  *
  * On firing, the System emits a structured diagnostic dump (stats
  * tree + trace tail + queue occupancy) and throws WatchdogTimeout.
@@ -52,17 +54,13 @@ class Watchdog
   public:
     explicit Watchdog(const WatchdogConfig &cfg);
 
-    /** Cheap pre-check: is a full poll due at `now`? */
+    /** Cheap pre-check: is a full poll due at `now`? Both run loops
+     *  ask after every cycle they process. */
     bool due(Cycle now) const { return now >= nextPoll_; }
 
-    /** The cycle the next staleness poll falls due — the event-driven
-     *  kernel schedules watchdog polls at this cadence instead of
-     *  probing due() every tick. */
-    Cycle nextPollAt() const { return nextPoll_; }
-
     /**
-     * Evaluate forward progress. `next_event` is the System's
-     * nextEventCycle() bound (kNoCycle = nothing can ever happen).
+     * Evaluate forward progress. `next_event` is the next cycle any
+     * component can act at (kNoCycle = nothing can ever happen).
      * Returns the failure reason when the watchdog fires.
      */
     std::optional<std::string>

@@ -41,7 +41,7 @@ makeScheduler(const ControllerConfig &cfg)
 
 MemoryController::MemoryController(const ControllerConfig &cfg,
                                    std::string name, Arena *arena)
-    : sim::Component(std::move(name)),
+    : name_(std::move(name)),
       cfg_(cfg),
       mapper_(cfg.org, cfg.mapping),
       device_(cfg.org, cfg.timing),
@@ -65,10 +65,10 @@ MemoryController::~MemoryController() = default;
 void
 MemoryController::registerStats(obs::StatRegistry &reg) const
 {
-    reg.add(name(), &stats_);
-    reg.add(name() + ".dram", &device_.stats());
+    reg.add(name_, &stats_);
+    reg.add(name_ + ".dram", &device_.stats());
     if (rowhammer_)
-        reg.add(name() + ".rowhammer", &rowhammer_->stats());
+        reg.add(name_ + ".rowhammer", &rowhammer_->stats());
 }
 
 void
@@ -421,8 +421,9 @@ MemoryController::earliestQueueAction(const TxnQueue &queue,
 }
 
 Cycle
-MemoryController::nextEventCycle(Cycle now, Cycle from) const
+MemoryController::nextEventCycle(Cycle from) const
 {
+    const Cycle now = from - 1;
     Cycle ev = kNoCycle;
     const std::uint64_t dram_now = divider_.derivedTicks();
 

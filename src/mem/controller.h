@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/common/arena.h"
@@ -117,16 +118,18 @@ struct ControllerConfig
     dram::RowHammerConfig rowhammer;
 };
 
-/** One DRAM channel's controller. */
-class MemoryController final : public sim::Component
+/** One DRAM channel's controller. Not a sim::Component: the
+ *  MemorySystem owns and drives it (tick, bound, idle skip, tracer,
+ *  stats). */
+class MemoryController final
 {
   public:
     /** `arena` (optional) backs the transaction queues; see
-     *  src/common/arena.h. */
+     *  src/common/arena.h. `name` is the stat path ("mc.ch{c}"). */
     explicit MemoryController(const ControllerConfig &cfg,
                               std::string name = "mc",
                               Arena *arena = nullptr);
-    ~MemoryController() override;
+    ~MemoryController();
 
     /** Is there queue space for another transaction of this type? */
     bool canAccept(bool is_write) const;
@@ -144,7 +147,7 @@ class MemoryController final : public sim::Component
     void enqueue(MemRequest req, Cycle now, Addr decode_addr = kNoAddr);
 
     /** Advance one CPU cycle; internally ticks the DRAM domain. */
-    void tick(Cycle now) override;
+    void tick(Cycle now);
 
     /** Append the read responses that completed at or before CPU
      *  cycle `now` to `out`, ordered by completion then id. */
@@ -158,10 +161,10 @@ class MemoryController final : public sim::Component
      * registers -- DRAM ticks before it are provably no-ops), the
      * earliest closed-page precharge opportunity, the earliest pending
      * response completion, and the next refresh falling due. kNoCycle
-     * when fully quiescent. `now` is the current CPU cycle (`from` ==
-     * now + 1 in the System tick loop).
+     * when fully quiescent. `from - 1` is the current CPU cycle: the
+     * caller asks for the cycle after the one just run.
      */
-    Cycle nextEventCycle(Cycle now, Cycle from) const override;
+    Cycle nextEventCycle(Cycle from) const;
 
     /** Earliest CPU cycle at which a completed response becomes
      *  visible to drainResponses(), or kNoCycle if no
@@ -186,7 +189,7 @@ class MemoryController final : public sim::Component
     /** Account `n` skipped idle CPU cycles: advance the DRAM clock
      *  crossing exactly as `n` tick() calls on an idle controller
      *  would (idle DRAM ticks mutate nothing else). */
-    void skipIdleCycles(Cycle n) override { divider_.skip(n); }
+    void skipIdleCycles(Cycle n) { divider_.skip(n); }
 
     /**
      * RespC acceleration hook: grant `tokens` high-priority CAS slots
@@ -221,11 +224,9 @@ class MemoryController final : public sim::Component
     /** Observability hook; propagates to the DRAM device. */
     void setTracer(obs::Tracer *tracer);
 
-    // ----- sim::Component adaptation -------------------------------
-    void attachTracer(obs::Tracer *tracer) override { setTracer(tracer); }
-    /** Registers this channel's stats under its component name plus
-     *  the device's under "<name>.dram". */
-    void registerStats(obs::StatRegistry &reg) const override;
+    /** Registers this channel's stats under its name plus the
+     *  device's under "<name>.dram". */
+    void registerStats(obs::StatRegistry &reg) const;
 
     /** Hardening hook: observer for every DRAM command this
      *  channel's device issues (the protocol checker). */
@@ -278,6 +279,7 @@ class MemoryController final : public sim::Component
                  std::uint64_t dram_now);
     Cycle dramDelayToCpu(std::uint64_t dram_cycles) const;
 
+    std::string name_;
     ControllerConfig cfg_;
     dram::AddressMapper mapper_;
     dram::DramDevice device_;

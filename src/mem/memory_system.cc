@@ -67,11 +67,11 @@ MemorySystem::drainResponses(Cycle now, std::vector<MemRequest> &out)
 }
 
 Cycle
-MemorySystem::nextEventCycle(Cycle now, Cycle from) const
+MemorySystem::nextEventCycle(Cycle from) const
 {
     Cycle ev = kNoCycle;
     for (const auto &mc : channels_)
-        ev = std::min(ev, mc->nextEventCycle(now, from));
+        ev = std::min(ev, mc->nextEventCycle(from));
     return ev;
 }
 

@@ -49,7 +49,7 @@ class MemorySystem final : public sim::Component
 
     /** Earliest CPU cycle >= `from` any channel could act at (see
      *  MemoryController::nextEventCycle). */
-    Cycle nextEventCycle(Cycle now, Cycle from) const override;
+    Cycle nextEventCycle(Cycle from) const override;
 
     /** Earliest CPU cycle any channel has a completed response ready
      *  for drainResponses(), or kNoCycle (see
@@ -95,14 +95,12 @@ class MemorySystem final : public sim::Component
 
     /** Observability hook; fans out to every channel controller. */
     void
-    setTracer(obs::Tracer *tracer)
+    attachTracer(obs::Tracer *tracer) override
     {
         for (auto &mc : channels_)
             mc->setTracer(tracer);
     }
 
-    // ----- sim::Component adaptation -------------------------------
-    void attachTracer(obs::Tracer *tracer) override { setTracer(tracer); }
     /** Fans out to the per-channel controllers ("mc.ch{c}" paths). */
     void
     registerStats(obs::StatRegistry &reg) const override

@@ -95,7 +95,7 @@ class SharedChannel final : public sim::Component
      * Idle cycles have no per-cycle accounting, so no skip hook.
      */
     Cycle
-    nextEventCycle(Cycle from) const
+    nextEventCycle(Cycle from) const override
     {
         for (const auto &q : ingress_) {
             if (!q.empty())
@@ -110,23 +110,9 @@ class SharedChannel final : public sim::Component
     std::size_t egressDepth() const { return egress_.size(); }
     const StatGroup &stats() const { return stats_; }
 
-    /** Observability hook. The channel does not know its direction, so
-     *  the owner supplies the grant event type (ReqChannelGrant or
-     *  RespChannelGrant). */
-    void
-    setTracer(obs::Tracer *tracer, obs::EventType grant_type)
-    {
-        tracer_ = tracer;
-        grantType_ = grant_type;
-    }
-
-    // ----- sim::Component adaptation -------------------------------
-    Cycle
-    nextEventCycle(Cycle /*now*/, Cycle from) const override
-    {
-        return nextEventCycle(from);
-    }
-    /** Keeps the grant type chosen at construction / via setTracer. */
+    /** Observability hook. Grants are emitted with the event type
+     *  chosen at construction (the channel does not know its
+     *  direction). */
     void attachTracer(obs::Tracer *tracer) override { tracer_ = tracer; }
     void registerStats(obs::StatRegistry &reg) const override;
 
@@ -144,7 +130,7 @@ class SharedChannel final : public sim::Component
     std::uint32_t rrNext_ = 0;
     StatGroup stats_;
     obs::Tracer *tracer_ = nullptr;
-    obs::EventType grantType_;
+    const obs::EventType grantType_;
 };
 
 } // namespace camo::noc

@@ -29,11 +29,11 @@ ComponentGraph::add(Component *borrowed)
 }
 
 Cycle
-ComponentGraph::nextEventCycle(Cycle now, Cycle from) const
+ComponentGraph::nextEventCycle(Cycle from) const
 {
     Cycle ev = kNoCycle;
     for (const Component *c : order_) {
-        ev = std::min(ev, c->nextEventCycle(now, from));
+        ev = std::min(ev, c->nextEventCycle(from));
         if (ev <= from)
             return from;
     }

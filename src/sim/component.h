@@ -2,17 +2,18 @@
  * @file
  * The simulation kernel's component boundary.
  *
- * Every block of the simulated machine — cores, caches, shapers,
- * channels, memory controllers, whole subsystems, and the glue
- * stations the System topology builds from them — implements
- * sim::Component. The System drives one iteration over an ordered
- * ComponentGraph for every cross-cutting concern: per-cycle ticking,
- * the idle fast-forward lower bound, batched idle-cycle accounting,
- * epoch reset, stat registration, and tracer attachment. A component
- * that owns sub-components (MemorySystem its controllers, a pipe
- * station its shaper) forwards those calls to them itself; the graph
- * only holds what the kernel schedules. Adding a component to the
- * topology requires zero edits to any of those plumbing paths.
+ * A sim::Component is something the event kernel schedules: the
+ * cores, the two shared channels, the memory system, and the glue
+ * stations the System topology builds around them. The System drives
+ * one iteration over an ordered ComponentGraph for every
+ * cross-cutting concern: per-cycle ticking, the idle-skip lower
+ * bound, batched idle-cycle accounting, epoch reset, stat
+ * registration, and tracer attachment. Blocks a component owns are
+ * plain classes it drives itself: a core its cache hierarchy, a pipe
+ * station its shaper, the memory system its per-channel controllers
+ * (and each controller its DRAM device). The graph holds exactly
+ * what the kernel schedules. Adding a component to the topology
+ * requires zero edits to any of those plumbing paths.
  */
 
 #ifndef CAMO_SIM_COMPONENT_H
@@ -52,16 +53,18 @@ class WakeSink
 };
 
 /**
- * One block of the simulated machine.
+ * One block of the simulated machine that the event kernel schedules.
  *
  * The cycle-advancement contract:
  *  - tick(now) advances the component by one CPU cycle. Within a
  *    processed cycle, components run in topology order.
- *  - nextEventCycle(now, from) returns the earliest cycle >= `from`
- *    at which tick() could do observable work, or kNoCycle if none is
- *    possible without new input. Cycles strictly before the returned
- *    value are provably idle. The default — always `from` — is the
- *    trivially sound bound (never fast-forward past this component).
+ *  - nextEventCycle(from) returns the earliest cycle >= `from` at
+ *    which tick() could do observable work, or kNoCycle if none is
+ *    possible without new input. The kernel always asks for the
+ *    cycle after the one just run, so `from - 1` is the current
+ *    cycle. Cycles strictly before the returned value are provably
+ *    idle. The default — always `from` — is the trivially sound
+ *    bound (never skip past this component).
  *  - skipIdleCycles(n) batch-applies the accounting that `n` tick()
  *    calls in the current (provably idle) state would have produced.
  *    Must be bit-exact with ticking; the default accounts nothing.
@@ -112,14 +115,8 @@ class Component
     virtual void tick(Cycle now) { (void)now; }
 
     /** Earliest cycle >= `from` with possible observable work (see
-     *  class comment). `now` is the current cycle (`from` == now + 1
-     *  in the System loop). */
-    virtual Cycle
-    nextEventCycle(Cycle now, Cycle from) const
-    {
-        (void)now;
-        return from;
-    }
+     *  class comment). */
+    virtual Cycle nextEventCycle(Cycle from) const { return from; }
 
     /** Account `n` skipped provably-idle cycles. */
     virtual void skipIdleCycles(Cycle n) { (void)n; }
@@ -182,17 +179,9 @@ class ComponentGraph
     const std::vector<Component *> &order() const { return order_; }
     std::size_t size() const { return order_.size(); }
 
-    /** Tick every component in topology order. */
-    void
-    tick(Cycle now)
-    {
-        for (Component *c : order_)
-            c->tick(now);
-    }
-
     /** Fold of nextEventCycle over the graph (min across
      *  components; early-out at `from`). */
-    Cycle nextEventCycle(Cycle now, Cycle from) const;
+    Cycle nextEventCycle(Cycle from) const;
 
     void reset();
 

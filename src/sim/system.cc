@@ -84,7 +84,7 @@ struct System::PerCore
 
 // ---------------------------------------------------------------------
 // Glue stations: each wraps one inter-subsystem hand-off of the
-// Figure-5 pipeline as a Component, so the tick loop, fast-forward
+// Figure-5 pipeline as a Component, so the tick loop, idle-skip
 // bound, and the attachment fan-outs are all a single iteration over
 // the graph. Stations exist to give the hand-offs a place in the tick
 // order and hold no state beyond the System backpointer and a core
@@ -108,15 +108,16 @@ struct System::FaultApplyStation final : Component
             return;
         sys_->applyInjectedFaults();
         // Injected state (corrupted credits, armed one-shots, wedges)
-        // is observed by the pipe stations and the credit checker:
-        // wake them so detection lands on the injection cycle itself.
+        // is observed by the pipe stations: wake them so detection
+        // lands on the injection cycle itself. (The armed credit
+        // checker already runs every cycle.)
         sys_->wakeFaultTargets(now);
     }
 
     /** Scheduled faults must fire at their programmed cycle, not at
      *  whatever tick the event kernel happens to execute next. */
     Cycle
-    nextEventCycle(Cycle, Cycle from) const override
+    nextEventCycle(Cycle from) const override
     {
         return sys_->injector_ ? sys_->injector_->nextScheduledCycle(from)
                                : kNoCycle;
@@ -144,7 +145,7 @@ struct System::CorePipeStation final : Component
     }
 
     Cycle
-    nextEventCycle(Cycle now, Cycle from) const override
+    nextEventCycle(Cycle from) const override
     {
         // Buffered misses move the moment the next stage can take
         // them (every cycle while it can).
@@ -155,7 +156,7 @@ struct System::CorePipeStation final : Component
             // A wedged shaper is ticked (and wedge-early-returns)
             // every cycle: none of those cycles is provably idle.
             if (sys_->injector_ &&
-                sys_->injector_->reqShaperWedged(core_, now)) {
+                sys_->injector_->reqShaperWedged(core_, from - 1)) {
                 return from;
             }
             // With this port's ingress queue full the shaper ticks
@@ -193,7 +194,7 @@ struct System::CorePipeStation final : Component
     attachTracer(obs::Tracer *tracer) override
     {
         if (shaper_)
-            shaper_->attachTracer(tracer);
+            shaper_->setTracer(tracer);
     }
 
     void
@@ -244,7 +245,7 @@ struct System::ReqLinkStation final : Component
      *  freed slot one cycle later). New egress arrivals wake us
      *  through the channel's egress subscription. */
     Cycle
-    nextEventCycle(Cycle, Cycle from) const override
+    nextEventCycle(Cycle from) const override
     {
         const noc::SharedChannel &ch = *sys_->reqChannel_;
         if (ch.egressDepth() == 0)
@@ -269,7 +270,7 @@ struct System::MemRouteStation final : Component
     void tick(Cycle) override { sys_->routeMcResponses(); }
 
     Cycle
-    nextEventCycle(Cycle, Cycle from) const override
+    nextEventCycle(Cycle from) const override
     {
         Cycle ev = kNoCycle;
         for (const DelayedResponse &d : sys_->delayedResp_)
@@ -302,7 +303,7 @@ struct System::RespPipeStation final : Component
     }
 
     Cycle
-    nextEventCycle(Cycle now, Cycle from) const override
+    nextEventCycle(Cycle from) const override
     {
         const PerCore &pc = *sys_->cores_[core_];
         if (!pc.respBuffer.empty() && (!shaper_ || shaper_->canAccept()))
@@ -313,7 +314,7 @@ struct System::RespPipeStation final : Component
             if (shaper_->hasPendingBoost())
                 return from;
             if (sys_->injector_ &&
-                sys_->injector_->respShaperWedged(core_, now)) {
+                sys_->injector_->respShaperWedged(core_, from - 1)) {
                 return from;
             }
             // ready=false ticks (full ingress) bypass the shaper's
@@ -336,7 +337,7 @@ struct System::RespPipeStation final : Component
     attachTracer(obs::Tracer *tracer) override
     {
         if (shaper_)
-            shaper_->attachTracer(tracer);
+            shaper_->setTracer(tracer);
     }
 
     void
@@ -363,7 +364,7 @@ struct System::RespLinkStation final : Component
 
     /** One delivery per cycle while the egress queue holds flits. */
     Cycle
-    nextEventCycle(Cycle, Cycle from) const override
+    nextEventCycle(Cycle from) const override
     {
         return sys_->respChannel_->egressDepth() > 0 ? from : kNoCycle;
     }
@@ -382,11 +383,24 @@ struct System::CreditCheckStation final : Component
     void
     tick(Cycle) override
     {
-        if (sys_->checkers_ && sys_->checkers_->config().conservation)
+        if (armed())
             sys_->checkCreditState();
     }
 
-    Cycle nextEventCycle(Cycle, Cycle) const override { return kNoCycle; }
+    /** While armed, the audit runs every cycle, as in the per-cycle
+     *  loop: a credit register can go bad on any cycle (a fault, or
+     *  a write between runs), not only on fault-injection cycles. */
+    Cycle
+    nextEventCycle(Cycle from) const override
+    {
+        return armed() ? from : kNoCycle;
+    }
+
+    bool
+    armed() const
+    {
+        return sys_->checkers_ && sys_->checkers_->config().conservation;
+    }
 
     System *sys_;
 };
@@ -413,7 +427,7 @@ struct System::IntervalStation final : Component
     }
 
     Cycle
-    nextEventCycle(Cycle, Cycle from) const override
+    nextEventCycle(Cycle from) const override
     {
         if (!sys_->interval_)
             return kNoCycle;
@@ -448,7 +462,7 @@ struct System::LeakMonStation final : Component
     }
 
     Cycle
-    nextEventCycle(Cycle, Cycle from) const override
+    nextEventCycle(Cycle from) const override
     {
         if (!sys_->leakmon_)
             return kNoCycle;
@@ -638,14 +652,11 @@ System::buildTopology(const SystemPlan &plan)
         PerCore &pc = *cores_[i];
         graph_.add(pc.core.get());
         pc.coreIdx = graph_.size() - 1;
-        graph_.add(pc.cache.get());
         CorePipeStation *cp = graph_.emplace<CorePipeStation>(
             this, i, std::move(req_shapers[i]));
         pc.corePipeIdx = graph_.size() - 1;
         pc.cache->subscribe(cp);
         pc.missBuffer.subscribe(cp);
-        faultWakeIds_.push_back(
-            static_cast<std::uint32_t>(pc.corePipeIdx));
     }
     graph_.add(reqChannel_.get());
     ReqLinkStation *rl = graph_.emplace<ReqLinkStation>(this);
@@ -660,14 +671,11 @@ System::buildTopology(const SystemPlan &plan)
             this, i, std::move(resp_shapers[i]));
         pc.respPipeIdx = graph_.size() - 1;
         pc.respBuffer.subscribe(rp);
-        faultWakeIds_.push_back(
-            static_cast<std::uint32_t>(pc.respPipeIdx));
     }
     graph_.add(respChannel_.get());
     RespLinkStation *rsl = graph_.emplace<RespLinkStation>(this);
     respChannel_->subscribeEgress(rsl);
     graph_.emplace<CreditCheckStation>(this);
-    faultWakeIds_.push_back(static_cast<std::uint32_t>(graph_.size() - 1));
     graph_.emplace<IntervalStation>(this);
 
     // One fan-out wires the tracer into every component (sticky:
@@ -1522,37 +1530,6 @@ System::syncProfiler()
 }
 
 void
-System::tick()
-{
-    ++now_;
-    if (!prof_) {
-        graph_.tick(now_);
-        return;
-    }
-    profiledTick();
-}
-
-void
-System::profiledTick()
-{
-    syncProfiler();
-    obs::Profiler::Timer all;
-    const auto &order = graph_.order();
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        obs::Profiler::Timer t;
-        order[i]->tick(now_);
-        prof_->add(profTickIds_[i], t.elapsedNs());
-    }
-    prof_->add(profTickNode_, all.elapsedNs());
-}
-
-Cycle
-System::nextEventCycle() const
-{
-    return graph_.nextEventCycle(now_, now_ + 1);
-}
-
-void
 System::run(Cycle cycles)
 {
     if (!prof_) {
@@ -1568,12 +1545,19 @@ System::runLoop(Cycle cycles)
 {
     const Cycle end = now_ + cycles;
     if (!cfg_.fastForward) {
+        // Per-cycle reference oracle: every component ticks every
+        // cycle in topology order.
+        if (prof_)
+            syncProfiler();
+        const std::size_t n = graph_.order().size();
         while (now_ < end) {
-            tick();
-            // The plain loop computes nextEventCycle() only when a
-            // poll is due (it is the expensive part of the poll).
+            ++now_;
+            for (std::size_t i = 0; i < n; ++i)
+                tickComponent(i, now_);
+            // The graph's bound fold is the expensive part of a poll,
+            // so it runs only when one is due.
             if (watchdog_ && watchdog_->due(now_))
-                pollWatchdog(nextEventCycle());
+                pollWatchdog(graph_.nextEventCycle(now_ + 1));
         }
         return;
     }
@@ -1687,8 +1671,10 @@ System::syncForDiagnostic()
 void
 System::wakeFaultTargets(Cycle at)
 {
-    for (const std::uint32_t id : faultWakeIds_)
-        wakeAt(id, at);
+    for (const auto &pc : cores_) {
+        wakeAt(static_cast<std::uint32_t>(pc->corePipeIdx), at);
+        wakeAt(static_cast<std::uint32_t>(pc->respPipeIdx), at);
+    }
 }
 
 void
@@ -1703,13 +1689,28 @@ System::rebuildWakes()
     inCycle_ = false;
     for (std::size_t i = 0; i < n; ++i) {
         order[i]->attachWakeSink(this, static_cast<std::uint32_t>(i));
-        const Cycle b = order[i]->nextEventCycle(now_, now_ + 1);
+        const Cycle b = order[i]->nextEventCycle(now_ + 1);
         if (b != kNoCycle)
             sched_.scheduleAt(static_cast<std::uint32_t>(i),
                               std::max(b, now_ + 1));
     }
     if (prof_)
         syncProfiler();
+}
+
+void
+System::tickComponent(std::size_t i, Cycle cycle)
+{
+    Component *c = graph_.order()[i];
+    if (!prof_) {
+        c->tick(cycle);
+        return;
+    }
+    obs::Profiler::Timer t;
+    c->tick(cycle);
+    const std::uint64_t ns = t.elapsedNs();
+    prof_->add(profTickNode_, ns);
+    prof_->add(profTickIds_[i], ns);
 }
 
 void
@@ -1732,22 +1733,13 @@ System::processCycle(Cycle cycle)
             dueBits_[w] &= dueBits_[w] - 1;
             const std::size_t i = (w << 6) | b;
             procIdx_ = i;
-            Component *c = order[i];
             catchUp(i, cycle - 1);
-            if (prof_) {
-                obs::Profiler::Timer t;
-                c->tick(cycle);
-                const std::uint64_t ns = t.elapsedNs();
-                prof_->add(profTickNode_, ns);
-                prof_->add(profTickIds_[i], ns);
-            } else {
-                c->tick(cycle);
-            }
+            tickComponent(i, cycle);
             lastSync_[i] = cycle;
             // Re-arm with a min-merge: a future self-wake issued
             // during the tick must survive. The clamp to cycle+1
-            // guards now-based bound arithmetic.
-            const Cycle nb = c->nextEventCycle(cycle, cycle + 1);
+            // guards bound arithmetic on the current cycle.
+            const Cycle nb = order[i]->nextEventCycle(cycle + 1);
             if (nb != kNoCycle)
                 sched_.scheduleAt(static_cast<std::uint32_t>(i),
                                   std::max(nb, cycle + 1));

@@ -170,12 +170,10 @@ class System : public WakeSink
     System(const System &) = delete;
     System &operator=(const System &) = delete;
 
-    /** Advance one CPU cycle (one full iteration over the graph —
-     *  the per-cycle reference semantics run() is bit-exact with). */
-    void tick();
     /** Advance `cycles` CPU cycles on the event-driven kernel (or,
-     *  with cfg.fastForward off, the plain per-cycle reference
-     *  loop). */
+     *  with cfg.fastForward off, the per-cycle reference oracle: one
+     *  full iteration over the graph per cycle, which the kernel is
+     *  bit-exact with). */
     void run(Cycle cycles);
 
     // ----- WakeSink (the event kernel's scheduling funnel) ---------
@@ -190,13 +188,6 @@ class System : public WakeSink
      * outside an event-driven run.
      */
     void wakeAt(std::uint32_t id, Cycle at) override;
-
-    /**
-     * Earliest cycle > now() at which any component could do
-     * observable work (kNoCycle if none can without new input).
-     * Cycles strictly before it are provably idle.
-     */
-    Cycle nextEventCycle() const;
 
     Cycle now() const { return now_; }
     std::uint32_t numCores() const
@@ -428,8 +419,9 @@ class System : public WakeSink
     bool coreIsShaped(std::uint32_t i) const;
     /** run() body (run() adds the profiler's root scope). */
     void runLoop(Cycle cycles);
-    /** tick() with per-component timing (profiler attached). */
-    void profiledTick();
+    /** Tick graph component `i` at `cycle`, timed when a profiler is
+     *  attached (the kernel and the oracle share it). */
+    void tickComponent(std::size_t i, Cycle cycle);
     /** Extend the cached per-component profiler node ids. */
     void syncProfiler();
     void onLeakageAlert(const std::string &msg);
@@ -438,9 +430,9 @@ class System : public WakeSink
 
     /** (Re)attach every component to the calendar and seed it from
      *  the components' nextEventCycle() bounds. Called at every
-     *  event-driven run() entry, so inter-run mutation (direct
-     *  tick(), GA reconfiguration, added components) needs no
-     *  incremental bookkeeping. */
+     *  event-driven run() entry, so inter-run mutation (oracle runs,
+     *  GA reconfiguration, added components, injected state) needs
+     *  no incremental bookkeeping. */
     void rebuildWakes();
     /** Process every component due at `cycle` in topology order. */
     void processCycle(Cycle cycle);
@@ -452,8 +444,8 @@ class System : public WakeSink
     /** Bring the machine to the exact state the per-cycle loop would
      *  show at the current point (used before diagnostic dumps). */
     void syncForDiagnostic();
-    /** Wake the per-core pipe stations + the credit checker at `at`
-     *  (fault-application glue). */
+    /** Wake the per-core pipe stations at `at` (fault-application
+     *  glue). */
     void wakeFaultTargets(Cycle at);
 
     // Hardening internals.
@@ -506,8 +498,8 @@ class System : public WakeSink
     std::vector<obs::Profiler::NodeId> profSkipIds_;
 
     // ----- event kernel state --------------------------------------
-    // Valid between rebuildWakes() (run() entry) and run() exit; the
-    // public tick() bypasses it entirely and the next run() rebuilds.
+    // Valid between rebuildWakes() (event-driven run() entry) and
+    // run() exit; oracle runs bypass it and the next run() rebuilds.
 
     EventScheduler sched_;
     /** Cycle through which component i is fully accounted (ticked or
@@ -525,7 +517,6 @@ class System : public WakeSink
     /** Graph index of the memory system (ReqLinkStation catches it
      *  up before an enqueue). */
     std::size_t memIdx_ = 0;
-    std::vector<std::uint32_t> faultWakeIds_; ///< pipes + creditcheck
 
     /**
      * Write the diagnostic dump for `tag` and return where it went:

@@ -144,7 +144,7 @@ TEST(Core, EpochCountersClear)
     for (Cycle t = 1; t <= 100; ++t)
         core.tick(t);
     EXPECT_GT(core.retired(), 0u);
-    core.clearEpochCounters();
+    core.reset();
     EXPECT_EQ(core.retired(), 0u);
     EXPECT_EQ(core.cycles(), 0u);
 }

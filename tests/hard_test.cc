@@ -530,6 +530,34 @@ TEST(SystemHardening, CheckersAreBitExactOnCleanRuns)
     EXPECT_GT(hardened->checkers()->lifecycle().issued(), 0u);
 }
 
+TEST(SystemHardening, CreditAuditRunsEveryCycleOnBothLoops)
+{
+    // A live credit register corrupted between runs, with no fault
+    // injector to wake anything: the end-of-cycle credit audit must
+    // catch it on the next cycle under the event kernel exactly as
+    // it does under the per-cycle oracle.
+    auto audit = [](bool kernel) {
+        sim::SystemConfig cfg = twoCoreBdc();
+        cfg.fastForward = kernel;
+        auto sys = makeHardened(cfg, nullptr, true, 0);
+        sys->run(5000);
+        sys->requestShaper(0)->binsMut().injectLiveCredits(
+            2 * shaper::kMaxCreditsPerBin);
+        try {
+            sys->run(20000);
+        } catch (const InvariantViolation &e) {
+            return std::make_pair(sys->now(), std::string(e.what()));
+        }
+        return std::make_pair(sys->now(), std::string("no violation"));
+    };
+    const auto oracle = audit(false);
+    EXPECT_EQ(oracle.first, 5001u);
+    EXPECT_NE(oracle.second.find("live credit register"),
+              std::string::npos)
+        << oracle.second;
+    EXPECT_EQ(audit(true), oracle);
+}
+
 TEST(SystemHardening, DiagnosticJsonIsStructured)
 {
     auto sys = makeHardened(twoCoreBdc(), nullptr, true, 0);

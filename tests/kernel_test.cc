@@ -72,7 +72,7 @@ class Probe final : public Component
     }
 
     void tick(Cycle) override { ++ticks; }
-    Cycle nextEventCycle(Cycle, Cycle) const override { return kNoCycle; }
+    Cycle nextEventCycle(Cycle) const override { return kNoCycle; }
     void skipIdleCycles(Cycle n) override { skipped += n; }
     void reset() override { ++resets; }
     void attachTracer(obs::Tracer *t) override { tracer = t; }
@@ -91,7 +91,10 @@ class Probe final : public Component
 
 TEST(ComponentGraph, TicksInInsertionOrder)
 {
-    ComponentGraph g;
+    // The per-cycle oracle ticks the graph in insertion order.
+    SystemConfig cfg = paperConfig();
+    cfg.fastForward = false;
+    System sys(SystemPlan(cfg, adversaryMix("astar", "astar")));
     std::vector<int> order;
     struct Rec final : Component
     {
@@ -103,13 +106,13 @@ TEST(ComponentGraph, TicksInInsertionOrder)
         int id_;
         std::vector<int> *log_;
     };
-    g.emplace<Rec>(2, order);
-    g.emplace<Rec>(1, order);
-    g.emplace<Rec>(3, order);
-    g.tick(1);
+    const std::size_t before = sys.graph().size();
+    for (const int id : {2, 1, 3})
+        sys.addComponent(std::make_unique<Rec>(id, order));
+    sys.run(1);
     EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
-    EXPECT_EQ(g.size(), 3u);
-    EXPECT_EQ(g.order()[1]->name(), "rec1");
+    EXPECT_EQ(sys.graph().size(), before + 3);
+    EXPECT_EQ(sys.graph().order()[before + 1]->name(), "rec1");
 }
 
 TEST(ComponentGraph, NextEventCycleIsMinFold)
@@ -120,7 +123,7 @@ TEST(ComponentGraph, NextEventCycleIsMinFold)
         {
         }
         Cycle
-        nextEventCycle(Cycle, Cycle from) const override
+        nextEventCycle(Cycle from) const override
         {
             return std::max(from, at_);
         }
@@ -130,11 +133,11 @@ TEST(ComponentGraph, NextEventCycleIsMinFold)
     g.emplace<Fixed>("a", 500);
     g.emplace<Fixed>("b", 120);
     g.emplace<Fixed>("c", 900);
-    EXPECT_EQ(g.nextEventCycle(99, 100), 120u);
+    EXPECT_EQ(g.nextEventCycle(100), 120u);
     // A component already due clamps the fold to `from`.
-    EXPECT_EQ(g.nextEventCycle(199, 200), 200u);
+    EXPECT_EQ(g.nextEventCycle(200), 200u);
     ComponentGraph empty;
-    EXPECT_EQ(empty.nextEventCycle(0, 1), kNoCycle);
+    EXPECT_EQ(empty.nextEventCycle(1), kNoCycle);
 }
 
 TEST(ComponentGraph, StickyAttachmentsReplayOnLateAdd)
@@ -157,7 +160,7 @@ TEST(ComponentGraph, DefaultBoundIsTriviallySound)
     };
     ComponentGraph g;
     g.emplace<Inert>();
-    EXPECT_EQ(g.nextEventCycle(41, 42), 42u);
+    EXPECT_EQ(g.nextEventCycle(42), 42u);
 }
 
 // ------------------------------------------- synthetic components

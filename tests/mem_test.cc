@@ -261,7 +261,7 @@ TEST(Controller, BoostOfAlreadyQueuedCoreReorders)
     mc.enqueue(makeReq(100, 1, 0x123400), now);
     // Build the pools (the bound derivation reads them), then boost
     // the core whose request is already queued.
-    mc.nextEventCycle(now, now + 1);
+    mc.nextEventCycle(now + 1);
     mc.boostPriority(1, 4);
 
     const std::vector<MemRequest> order = collectResponses(mc, 21, now);
@@ -307,7 +307,7 @@ TEST(Controller, ClearingHighestPriorityRestoresAgeOrder)
     mc.enqueue(makeReq(1, 0, (1ULL << 20) * 1), now);
     mc.enqueue(makeReq(2, 1, (1ULL << 20) * 2), now);
     mc.setHighestPriorityCore(1);
-    mc.nextEventCycle(now, now + 1); // builds the pool, core 1 first
+    mc.nextEventCycle(now + 1); // builds the pool, core 1 first
     mc.setHighestPriorityCore(std::nullopt);
 
     const auto order = collectResponses(mc, 2, now);
