@@ -23,6 +23,7 @@ BinShaper::reconfigure(const BinConfig &cfg)
     cfg_ = cfg;
     credits_ = cfg_.credits;
     std::fill(unused_.begin(), unused_.end(), 0);
+    auditPending_ = true;
     stats_.inc("reconfigurations");
 }
 
@@ -144,6 +145,7 @@ void
 BinShaper::injectLiveCredits(std::uint32_t value)
 {
     std::fill(credits_.begin(), credits_.end(), value);
+    auditPending_ = true;
 }
 
 void
@@ -152,6 +154,7 @@ BinShaper::injectStarvation()
     std::fill(credits_.begin(), credits_.end(), 0u);
     std::fill(unused_.begin(), unused_.end(), 0u);
     nextReplenish_ = kNoCycle;
+    auditPending_ = true;
 }
 
 std::uint32_t

@@ -119,6 +119,12 @@ class BinShaper
      */
     void injectStarvation();
 
+    /** Set by the writes that can break the credit contract
+     *  (construction, reconfigure(), the inject hooks; not replenish or
+     *  consume); the credit audit clears it once the registers pass. */
+    bool auditPending() const { return auditPending_; }
+    void setAuditPending(bool on) { auditPending_ = on; }
+
     /** Observability hook; `core` labels the emitted events. */
     void
     setTracer(obs::Tracer *tracer, CoreId core)
@@ -138,6 +144,7 @@ class BinShaper
     std::uint64_t realIssued_ = 0;
     std::uint64_t fakeIssued_ = 0;
     std::uint64_t replenishments_ = 0;
+    bool auditPending_ = true;
     StatGroup stats_;
     obs::Tracer *tracer_ = nullptr;
     CoreId traceCore_ = kNoCore;

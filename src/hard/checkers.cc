@@ -187,12 +187,6 @@ ShaperConservationChecker::setContract(CoreId core,
     pc.windowCount = 0;
 }
 
-bool
-ShaperConservationChecker::hasContract(CoreId core) const
-{
-    return cores_.find(core) != cores_.end();
-}
-
 void
 ShaperConservationChecker::onShaperRelease(CoreId core, Cycle now)
 {

@@ -152,16 +152,14 @@ struct ShaperContract
 /**
  * Conservation checks at one shared-channel boundary (request or
  * response side). Check methods return an empty string when the
- * invariant holds, else a one-line violation description — the
- * caller picks throw vs degrade.
+ * invariant holds or the core has no contract, else a one-line
+ * violation description — the caller picks throw vs degrade.
  */
 class ShaperConservationChecker
 {
   public:
     /** (Re)program the contract the core's shaper should enforce. */
     void setContract(CoreId core, const ShaperContract &contract);
-
-    bool hasContract(CoreId core) const;
 
     /** The shaper released a transaction this cycle. */
     void onShaperRelease(CoreId core, Cycle now);

@@ -24,7 +24,7 @@
 #include "src/mem/request.h"
 #include "src/obs/tracer.h"
 #include "src/sim/component.h"
-#include "src/sim/port.h"
+#include "src/sim/wire.h"
 
 namespace camo::noc {
 

@@ -4,9 +4,9 @@
  *
  * A sim::Component is something the event kernel schedules: the
  * cores, the two shared channels, the memory system, and the glue
- * stations the System topology builds around them. The System drives
- * one iteration over an ordered ComponentGraph for every
- * cross-cutting concern: per-cycle ticking, the idle-skip lower
+ * stations the System builds around them (src/sim/stations.h). The
+ * System drives one iteration over an ordered ComponentGraph for
+ * every cross-cutting concern: per-cycle ticking, the idle-skip lower
  * bound, batched idle-cycle accounting, epoch reset, stat
  * registration, and tracer attachment. Blocks a component owns are
  * plain classes it drives itself: a core its cache hierarchy, a pipe
@@ -50,6 +50,10 @@ class WakeSink
 
     /** Run `id` no later than `at` (min-merge; kNoCycle = no-op). */
     virtual void wakeAt(std::uint32_t id, Cycle at) = 0;
+    /** Account `id`'s skipped idle cycles through `through`. */
+    virtual void catchUp(std::uint32_t id, Cycle through) = 0;
+    /** catchUp every component ahead of `id` in the tick order. */
+    virtual void catchUpAhead(std::uint32_t id, Cycle through) = 0;
 };
 
 /**
@@ -74,7 +78,7 @@ class WakeSink
  * kernel re-arms the component from its nextEventCycle() bound; the
  * component itself, or a producer handing it data, pulls that wakeup
  * earlier with scheduleAt() — a producer at the cycle the data lands
- * (the one hand-off rule; see port.h). Because scheduling is
+ * (the one hand-off rule; see wire.h). Because scheduling is
  * min-merge and ticking a provably-idle cycle is bit-exact with
  * skipping it, spurious extra wakeups are always safe — only a
  * *missed* wakeup (a bound that overshoots the next observable event)
@@ -109,6 +113,24 @@ class Component
     {
         if (wakeSink_ != nullptr)
             wakeSink_->wakeAt(wakeId_, at);
+    }
+
+    /** Account this component's skipped idle cycles through `through`;
+     *  a later station calls it before mutating this one. */
+    void
+    catchUp(Cycle through)
+    {
+        if (wakeSink_ != nullptr)
+            wakeSink_->catchUp(wakeId_, through);
+    }
+
+    /** catchUp every component ahead of this one (an observer then
+     *  reads the machine as the per-cycle oracle shows it). */
+    void
+    catchUpAhead(Cycle through)
+    {
+        if (wakeSink_ != nullptr)
+            wakeSink_->catchUpAhead(wakeId_, through);
     }
 
     /** Advance one CPU cycle. */

@@ -11,11 +11,10 @@
 
 #include <unistd.h>
 
-#include "src/camouflage/config_port.h"
 #include "src/common/logging.h"
 #include "src/hard/error.h"
 #include "src/sim/plan.h"
-#include "src/trace/workloads.h"
+#include "src/sim/stations.h"
 
 namespace camo::sim {
 
@@ -33,453 +32,6 @@ mitigationName(Mitigation m)
     }
     return "?";
 }
-
-/** Everything owned per core. */
-struct System::PerCore
-{
-    std::unique_ptr<trace::TraceSource> trace;
-    std::unique_ptr<cache::CacheHierarchy> cache;
-    std::unique_ptr<core::Core> core;
-    /** Owned by the core's pipe stations; nullptr when unshaped. */
-    shaper::RequestShaper *reqShaper = nullptr;
-    shaper::ResponseShaper *respShaper = nullptr;
-
-    /** LLC-miss link between the cache and the shaper/channel. */
-    Wire<MemRequest> missBuffer;
-    /** MC-egress link in front of the response shaper. */
-    Wire<MemRequest> respBuffer;
-
-    shaper::DistributionMonitor intrinsicMon;
-    shaper::DistributionMonitor busMon;
-    shaper::DistributionMonitor respMon;
-
-    std::vector<security::LatencySample> latencies;
-    std::uint64_t servedReads = 0;
-    std::uint64_t latencySum = 0;
-
-    /** Real reads on the wire (issued, response not yet delivered).
-     *  Always maintained (cheap counter); the watchdog's pending-work
-     *  signal. */
-    std::uint64_t inflightReads = 0;
-    /** Shapers swapped to the fail-secure schedule. */
-    bool degraded = false;
-
-    /** Previous-interval snapshots for delta-based interval metrics. */
-    std::uint64_t ivRetired = 0;
-    std::uint64_t ivCycles = 0;
-    std::uint64_t ivBusReal = 0;
-    std::uint64_t ivBusFake = 0;
-
-    /** Graph indices the event kernel's glue needs (set by
-     *  buildTopology). */
-    std::size_t coreIdx = 0;
-    std::size_t corePipeIdx = 0;
-    std::size_t respPipeIdx = 0;
-
-    PerCore(const std::vector<Cycle> &edges)
-        : intrinsicMon(edges), busMon(edges), respMon(edges)
-    {
-    }
-};
-
-// ---------------------------------------------------------------------
-// Glue stations: each wraps one inter-subsystem hand-off of the
-// Figure-5 pipeline as a Component, so the tick loop, idle-skip
-// bound, and the attachment fan-outs are all a single iteration over
-// the graph. Stations exist to give the hand-offs a place in the tick
-// order and hold no state beyond the System backpointer and a core
-// index, except that the two pipe stations own their core's shaper
-// the way MemorySystem owns its controllers: they tick, bound and
-// idle-skip it, and forward its tracer and stats.
-// ---------------------------------------------------------------------
-
-/** Consults the fault injector at the top of each cycle. */
-struct System::FaultApplyStation final : Component
-{
-    explicit FaultApplyStation(System *sys)
-        : Component("station.faults"), sys_(sys)
-    {
-    }
-
-    void
-    tick(Cycle now) override
-    {
-        if (!sys_->injector_)
-            return;
-        sys_->applyInjectedFaults();
-        // Injected state (corrupted credits, armed one-shots, wedges)
-        // is observed by the pipe stations: wake them so detection
-        // lands on the injection cycle itself. (The armed credit
-        // checker already runs every cycle.)
-        sys_->wakeFaultTargets(now);
-    }
-
-    /** Scheduled faults must fire at their programmed cycle, not at
-     *  whatever tick the event kernel happens to execute next. */
-    Cycle
-    nextEventCycle(Cycle from) const override
-    {
-        return sys_->injector_ ? sys_->injector_->nextScheduledCycle(from)
-                               : kNoCycle;
-    }
-
-    System *sys_;
-};
-
-/** Cache outgoing -> miss buffer -> shaper/request channel. */
-struct System::CorePipeStation final : Component
-{
-    CorePipeStation(System *sys, std::uint32_t core,
-                    std::unique_ptr<shaper::RequestShaper> shaper)
-        : Component("station.reqpipe.core" + std::to_string(core)),
-          sys_(sys), core_(core), shaper_(std::move(shaper))
-    {
-    }
-
-    void
-    tick(Cycle) override
-    {
-        PerCore &pc = *sys_->cores_[core_];
-        sys_->drainCacheOutgoing(pc);
-        sys_->feedRequestPath(pc);
-    }
-
-    Cycle
-    nextEventCycle(Cycle from) const override
-    {
-        // Buffered misses move the moment the next stage can take
-        // them (every cycle while it can).
-        const PerCore &pc = *sys_->cores_[core_];
-        if (!pc.missBuffer.empty() && (!shaper_ || shaper_->canAccept()))
-            return from;
-        if (shaper_) {
-            // A wedged shaper is ticked (and wedge-early-returns)
-            // every cycle: none of those cycles is provably idle.
-            if (sys_->injector_ &&
-                sys_->injector_->reqShaperWedged(core_, from - 1)) {
-                return from;
-            }
-            // With this port's ingress queue full the shaper ticks
-            // ready=false, which skips its stall accounting — those
-            // cycles must stay real ticks. (Only this station pushes
-            // to the port, so not-full cannot regress while asleep.)
-            if (!sys_->reqChannel_->canAccept(core_))
-                return from;
-            // The shaper drives its own schedule (replenishments,
-            // eligibility, stall events) through the station.
-            return shaper_->nextEventCycle(from);
-        }
-        return kNoCycle;
-    }
-
-    /** The owned shaper is driven by this station: its batched idle
-     *  accounting rides the station's. */
-    void
-    skipIdleCycles(Cycle n) override
-    {
-        if (shaper_)
-            shaper_->skipIdleCycles(n);
-    }
-
-    /** Epoch service counters live on the pipe, not the core. */
-    void
-    reset() override
-    {
-        PerCore &pc = *sys_->cores_[core_];
-        pc.servedReads = 0;
-        pc.latencySum = 0;
-    }
-
-    void
-    attachTracer(obs::Tracer *tracer) override
-    {
-        if (shaper_)
-            shaper_->setTracer(tracer);
-    }
-
-    void
-    registerStats(obs::StatRegistry &reg) const override
-    {
-        if (shaper_)
-            shaper_->registerStats(reg);
-    }
-
-    System *sys_;
-    std::uint32_t core_;
-    std::unique_ptr<shaper::RequestShaper> shaper_;
-};
-
-/** Request-channel egress -> memory controller (1/cycle). */
-struct System::ReqLinkStation final : Component
-{
-    explicit ReqLinkStation(System *sys)
-        : Component("station.reqlink"), sys_(sys)
-    {
-    }
-
-    void
-    tick(Cycle now) override
-    {
-        noc::SharedChannel &ch = *sys_->reqChannel_;
-        if (ch.hasEgress(now) &&
-            sys_->mem_->canAccept(ch.egressFront().addr,
-                                  ch.egressFront().isWrite)) {
-            // enqueue() stamps the transaction with the controller's
-            // clock-divider state; bring the controller to the state
-            // it has at this point of the per-cycle loop (its own
-            // tick this cycle has not yet run) before mutating it.
-            sys_->catchUp(sys_->memIdx_, now - 1);
-            sys_->mem_->enqueue(ch.popEgress(now), now);
-            // The controller must arbitrate the new arrival this
-            // cycle, exactly as the tick loop had it.
-            sys_->mem_->scheduleAt(now);
-        }
-    }
-
-    /** Pending egress drains one flit per cycle while the MC has
-     *  queue space for the head flit. When the MC queue is full the
-     *  station sleeps: canAccept only turns true when a served CAS
-     *  frees a slot, and the controller's queue-space subscription
-     *  wakes us then (on the next cycle, since this station ticks
-     *  before the controller — the per-cycle loop likewise used the
-     *  freed slot one cycle later). New egress arrivals wake us
-     *  through the channel's egress subscription. */
-    Cycle
-    nextEventCycle(Cycle from) const override
-    {
-        const noc::SharedChannel &ch = *sys_->reqChannel_;
-        if (ch.egressDepth() == 0)
-            return kNoCycle;
-        return sys_->mem_->canAccept(ch.egressFront().addr,
-                                     ch.egressFront().isWrite)
-                   ? from
-                   : kNoCycle;
-    }
-
-    System *sys_;
-};
-
-/** MC responses -> per-core response buffers (+ injected delays). */
-struct System::MemRouteStation final : Component
-{
-    explicit MemRouteStation(System *sys)
-        : Component("station.memroute"), sys_(sys)
-    {
-    }
-
-    void tick(Cycle) override { sys_->routeMcResponses(); }
-
-    Cycle
-    nextEventCycle(Cycle from) const override
-    {
-        Cycle ev = kNoCycle;
-        for (const DelayedResponse &d : sys_->delayedResp_)
-            ev = std::min(ev, std::max(from, d.releaseAt));
-        // Completed DRAM reads route back the cycle they become
-        // ready (the controller's response subscription covers
-        // responses minted after this bound was taken).
-        ev = std::min(ev,
-                      std::max(from, sys_->mem_->nextResponseReady()));
-        return ev;
-    }
-
-    System *sys_;
-};
-
-/** Response buffer -> shaper -> response channel. */
-struct System::RespPipeStation final : Component
-{
-    RespPipeStation(System *sys, std::uint32_t core,
-                    std::unique_ptr<shaper::ResponseShaper> shaper)
-        : Component("station.resppipe.core" + std::to_string(core)),
-          sys_(sys), core_(core), shaper_(std::move(shaper))
-    {
-    }
-
-    void
-    tick(Cycle) override
-    {
-        sys_->feedResponsePath(*sys_->cores_[core_]);
-    }
-
-    Cycle
-    nextEventCycle(Cycle from) const override
-    {
-        const PerCore &pc = *sys_->cores_[core_];
-        if (!pc.respBuffer.empty() && (!shaper_ || shaper_->canAccept()))
-            return from;
-        if (shaper_) {
-            // Accumulated priority warnings are forwarded to the
-            // scheduler on the next tick.
-            if (shaper_->hasPendingBoost())
-                return from;
-            if (sys_->injector_ &&
-                sys_->injector_->respShaperWedged(core_, from - 1)) {
-                return from;
-            }
-            // ready=false ticks (full ingress) bypass the shaper's
-            // stall accounting; see CorePipeStation.
-            if (!sys_->respChannel_->canAccept(core_))
-                return from;
-            return shaper_->nextEventCycle(from);
-        }
-        return kNoCycle;
-    }
-
-    void
-    skipIdleCycles(Cycle n) override
-    {
-        if (shaper_)
-            shaper_->skipIdleCycles(n);
-    }
-
-    void
-    attachTracer(obs::Tracer *tracer) override
-    {
-        if (shaper_)
-            shaper_->setTracer(tracer);
-    }
-
-    void
-    registerStats(obs::StatRegistry &reg) const override
-    {
-        if (shaper_)
-            shaper_->registerStats(reg);
-    }
-
-    System *sys_;
-    std::uint32_t core_;
-    std::unique_ptr<shaper::ResponseShaper> shaper_;
-};
-
-/** Response-channel egress -> core fill (1/cycle). */
-struct System::RespLinkStation final : Component
-{
-    explicit RespLinkStation(System *sys)
-        : Component("station.resplink"), sys_(sys)
-    {
-    }
-
-    void tick(Cycle) override { sys_->deliverResponses(); }
-
-    /** One delivery per cycle while the egress queue holds flits. */
-    Cycle
-    nextEventCycle(Cycle from) const override
-    {
-        return sys_->respChannel_->egressDepth() > 0 ? from : kNoCycle;
-    }
-
-    System *sys_;
-};
-
-/** End-of-cycle shaper credit-state audit (observe-only). */
-struct System::CreditCheckStation final : Component
-{
-    explicit CreditCheckStation(System *sys)
-        : Component("station.creditcheck"), sys_(sys)
-    {
-    }
-
-    void
-    tick(Cycle) override
-    {
-        if (armed())
-            sys_->checkCreditState();
-    }
-
-    /** While armed, the audit runs every cycle, as in the per-cycle
-     *  loop: a credit register can go bad on any cycle (a fault, or
-     *  a write between runs), not only on fault-injection cycles. */
-    Cycle
-    nextEventCycle(Cycle from) const override
-    {
-        return armed() ? from : kNoCycle;
-    }
-
-    bool
-    armed() const
-    {
-        return sys_->checkers_ && sys_->checkers_->config().conservation;
-    }
-
-    System *sys_;
-};
-
-/**
- * Periodic interval-metrics snapshot. The station schedules itself at
- * each boundary (nextEventCycle pins interval_->nextAt()); before
- * sampling it catches every earlier component up through the
- * boundary, so rows read the exact state the per-cycle loop would
- * have shown there.
- */
-struct System::IntervalStation final : Component
-{
-    explicit IntervalStation(System *sys)
-        : Component("station.interval"), sys_(sys)
-    {
-    }
-
-    void
-    tick(Cycle now) override
-    {
-        if (sys_->interval_ && sys_->interval_->due(now))
-            sys_->sampleIntervalAt(now);
-    }
-
-    Cycle
-    nextEventCycle(Cycle from) const override
-    {
-        if (!sys_->interval_)
-            return kNoCycle;
-        return std::max(from, sys_->interval_->nextAt());
-    }
-
-    System *sys_;
-};
-
-/**
- * Online leakage-monitor evaluation point. The station's
- * nextEventCycle pins a tick on every check boundary, so window
- * evaluations happen at identical cycles with fast-forward on or
- * off.
- */
-struct System::LeakMonStation final : Component
-{
-    explicit LeakMonStation(System *sys)
-        : Component("station.leakmon"), sys_(sys)
-    {
-    }
-
-    void
-    tick(Cycle now) override
-    {
-        obs::LeakMonitor *mon = sys_->leakmon_.get();
-        if (!mon || now < mon->nextCheckAt())
-            return;
-        const std::string alert = mon->poll(now);
-        if (!alert.empty())
-            sys_->onLeakageAlert(alert);
-    }
-
-    Cycle
-    nextEventCycle(Cycle from) const override
-    {
-        if (!sys_->leakmon_)
-            return kNoCycle;
-        return std::max(from, sys_->leakmon_->nextCheckAt());
-    }
-
-    void
-    registerStats(obs::StatRegistry &reg) const override
-    {
-        if (sys_->leakmon_)
-            reg.add("leakmon", &sys_->leakmon_->stats());
-    }
-
-    System *sys_;
-};
-
-// ---------------------------------------------------------------------
 
 namespace {
 
@@ -583,6 +135,7 @@ System::buildTopology(const SystemPlan &plan)
         cfg_.numCores);
 
     for (std::uint32_t i = 0; i < cfg_.numCores; ++i) {
+        const bool shaped = cfg_.shapeCore.empty() || cfg_.shapeCore[i];
         auto pc = std::make_unique<PerCore>(cfg_.reqBins.edges);
         // Disjoint 1 TiB address windows keep workloads from aliasing.
         const Addr base = static_cast<Addr>(i) << 40;
@@ -594,7 +147,7 @@ System::buildTopology(const SystemPlan &plan)
                                                 *pc->cache,
                                                 arena_.get());
 
-        if (wants_req && coreIsShaped(i)) {
+        if (wants_req && shaped) {
             shaper::RequestShaperConfig rc;
             if (cfg_.mitigation == Mitigation::CS) {
                 // Ascend-style constant rate: strictly periodic issue
@@ -614,9 +167,8 @@ System::buildTopology(const SystemPlan &plan)
             rc.fakeAddrBase = base + (1ULL << 39);
             req_shapers[i] = std::make_unique<shaper::RequestShaper>(
                 i, rc, cfg_.seed * 104729 + i, arena_.get());
-            pc->reqShaper = req_shapers[i].get();
         }
-        if (wants_resp && coreIsShaped(i)) {
+        if (wants_resp && shaped) {
             shaper::ResponseShaperConfig rc;
             rc.bins = cfg_.respBinsPerCore.empty()
                           ? cfg_.respBins
@@ -624,59 +176,61 @@ System::buildTopology(const SystemPlan &plan)
             rc.generateFakes = cfg_.fakeTraffic;
             resp_shapers[i] = std::make_unique<shaper::ResponseShaper>(
                 i, rc, arena_.get());
-            pc->respShaper = resp_shapers[i].get();
         }
         if (cfg_.recordTraffic) {
             pc->intrinsicMon.setLogging(true);
             pc->busMon.setLogging(true);
             pc->respMon.setLogging(true);
-            if (pc->reqShaper) {
-                pc->reqShaper->preMonitor().setLogging(true);
-                pc->reqShaper->postMonitor().setLogging(true);
+            if (req_shapers[i]) {
+                req_shapers[i]->preMonitor().setLogging(true);
+                req_shapers[i]->postMonitor().setLogging(true);
             }
-            if (pc->respShaper) {
-                pc->respShaper->preMonitor().setLogging(true);
-                pc->respShaper->postMonitor().setLogging(true);
+            if (resp_shapers[i]) {
+                resp_shapers[i]->preMonitor().setLogging(true);
+                resp_shapers[i]->postMonitor().setLogging(true);
             }
         }
         cores_.push_back(std::move(pc));
     }
+
+    pipe_.reset(new Pipeline{
+        cores_, *reqChannel_, *respChannel_, *mem_, stats_, *tracer_,
+        cfg_.recordLatencies,
+        [this](std::uint32_t core, const std::string &msg) {
+            onShaperViolation(core, msg);
+        }});
 
     // Lay the components into the graph in Figure-5 tick order. The
     // subsystems are borrowed (the PerCore / System unique_ptrs above
     // own them); the stations are graph-owned. The subscriptions made
     // here are the event kernel's only hand-off wiring: each producer
     // wakes its consuming station at the cycle the data lands.
-    graph_.emplace<FaultApplyStation>(this);
+    graph_.emplace<FaultApplyStation>(*pipe_);
     for (std::uint32_t i = 0; i < cfg_.numCores; ++i) {
         PerCore &pc = *cores_[i];
         graph_.add(pc.core.get());
-        pc.coreIdx = graph_.size() - 1;
-        CorePipeStation *cp = graph_.emplace<CorePipeStation>(
-            this, i, std::move(req_shapers[i]));
-        pc.corePipeIdx = graph_.size() - 1;
-        pc.cache->subscribe(cp);
-        pc.missBuffer.subscribe(cp);
+        pc.reqPipe = graph_.emplace<CorePipeStation>(
+            *pipe_, pc, i, std::move(req_shapers[i]));
+        pc.cache->subscribe(pc.reqPipe);
+        pc.missBuffer.subscribe(pc.reqPipe);
     }
     graph_.add(reqChannel_.get());
-    ReqLinkStation *rl = graph_.emplace<ReqLinkStation>(this);
+    auto *rl = graph_.emplace<ReqLinkStation>(*reqChannel_, *mem_);
     reqChannel_->subscribeEgress(rl);
     mem_->subscribeQueueSpace(rl);
     graph_.add(mem_.get());
-    memIdx_ = graph_.size() - 1;
-    mem_->subscribeResponses(graph_.emplace<MemRouteStation>(this));
+    pipe_->memRoute = graph_.emplace<MemRouteStation>(*pipe_);
+    mem_->subscribeResponses(pipe_->memRoute);
     for (std::uint32_t i = 0; i < cfg_.numCores; ++i) {
         PerCore &pc = *cores_[i];
-        RespPipeStation *rp = graph_.emplace<RespPipeStation>(
-            this, i, std::move(resp_shapers[i]));
-        pc.respPipeIdx = graph_.size() - 1;
-        pc.respBuffer.subscribe(rp);
+        pc.respPipe = graph_.emplace<RespPipeStation>(
+            *pipe_, pc, i, std::move(resp_shapers[i]));
+        pc.respBuffer.subscribe(pc.respPipe);
     }
     graph_.add(respChannel_.get());
-    RespLinkStation *rsl = graph_.emplace<RespLinkStation>(this);
-    respChannel_->subscribeEgress(rsl);
-    graph_.emplace<CreditCheckStation>(this);
-    graph_.emplace<IntervalStation>(this);
+    respChannel_->subscribeEgress(graph_.emplace<RespLinkStation>(*pipe_));
+    pipe_->creditCheck = graph_.emplace<CreditCheckStation>(*pipe_);
+    pipe_->interval = graph_.emplace<IntervalStation>(cores_, *mem_);
 
     // One fan-out wires the tracer into every component (sticky:
     // late-added components get it automatically).
@@ -689,12 +243,6 @@ Component &
 System::addComponent(std::unique_ptr<Component> component)
 {
     return *graph_.add(std::move(component));
-}
-
-bool
-System::coreIsShaped(std::uint32_t i) const
-{
-    return cfg_.shapeCore.empty() || cfg_.shapeCore[i];
 }
 
 const core::Core &
@@ -715,14 +263,14 @@ shaper::RequestShaper *
 System::requestShaper(std::uint32_t i)
 {
     camo_assert(i < cores_.size(), "core index out of range");
-    return cores_[i]->reqShaper;
+    return cores_[i]->reqPipe->shaper();
 }
 
 shaper::ResponseShaper *
 System::responseShaper(std::uint32_t i)
 {
     camo_assert(i < cores_.size(), "core index out of range");
-    return cores_[i]->respShaper;
+    return cores_[i]->respPipe->shaper();
 }
 
 const shaper::DistributionMonitor &
@@ -774,9 +322,11 @@ System::avgReadLatency(std::uint32_t i) const
 void
 System::clearEpochCounters()
 {
-    // Core::reset() clears the core-side epoch counters; the per-core
-    // pipe stations clear the service counters.
-    graph_.reset();
+    graph_.reset(); // the cores' own epoch counters
+    for (auto &pc : cores_) {
+        pc->servedReads = 0;
+        pc->latencySum = 0;
+    }
 }
 
 void
@@ -792,215 +342,27 @@ System::reconfigureShaper(std::uint32_t core,
                           const shaper::BinConfig &req_bins,
                           const shaper::BinConfig &resp_bins)
 {
-    camo_assert(core < cores_.size(), "core index out of range");
-    PerCore &pc = *cores_[core];
-    if (pc.reqShaper)
-        pc.reqShaper->reconfigure(req_bins);
-    if (pc.respShaper)
-        pc.respShaper->reconfigure(resp_bins);
+    if (shaper::RequestShaper *s = requestShaper(core))
+        s->reconfigure(req_bins);
+    if (shaper::ResponseShaper *s = responseShaper(core))
+        s->reconfigure(resp_bins);
 }
 
 void
 System::setFakeTraffic(bool on)
 {
-    for (auto &pc : cores_) {
-        if (pc->reqShaper)
-            pc->reqShaper->setGenerateFakes(on);
-        if (pc->respShaper)
-            pc->respShaper->setGenerateFakes(on);
+    for (std::uint32_t i = 0; i < cores_.size(); ++i) {
+        if (shaper::RequestShaper *s = requestShaper(i))
+            s->setGenerateFakes(on);
+        if (shaper::ResponseShaper *s = responseShaper(i))
+            s->setGenerateFakes(on);
     }
 }
 
-void
-System::drainCacheOutgoing(PerCore &pc)
-{
-    std::vector<MemRequest> &out = pc.cache->outgoing();
-    if (out.empty())
-        return;
-    for (MemRequest &req : out) {
-        pc.intrinsicMon.record(now_);
-        pc.missBuffer.push(std::move(req), now_);
-    }
-    pc.cache->clearOutgoing();
-}
 
-void
-System::feedRequestPath(PerCore &pc)
-{
-    const std::uint32_t port = pc.core->id();
 
-    if (injector_) {
-        // Shaper-bypass fault: a real request jumps straight onto the
-        // shared channel. Preconditions are checked before consulting
-        // the injector so the one-shot only latches when it can fire.
-        if (!pc.missBuffer.empty() && reqChannel_->canAccept(port) &&
-            injector_->leakRequestDue(port, now_)) {
-            MemRequest req = pc.missBuffer.pop();
-            req.shaperOut = now_;
-            pushToReqChannel(pc, std::move(req), false);
-        }
-        // Forced fake: a fake issued outside the shaper's schedule.
-        if (reqChannel_->canAccept(port) &&
-            injector_->forceFakeDue(port, now_)) {
-            MemRequest fake;
-            fake.id = (static_cast<ReqId>(port) << 48) |
-                      (1ULL << 46) | ++forcedFakes_;
-            fake.core = port;
-            fake.isFake = true;
-            fake.addr = (static_cast<Addr>(port) << 40) | (1ULL << 38);
-            fake.created = now_;
-            fake.shaperOut = now_;
-            pushToReqChannel(pc, std::move(fake), false);
-        }
-    }
 
-    if (pc.reqShaper) {
-        if (injector_ && injector_->reqShaperWedged(port, now_))
-            return; // the shaper's clock is gated off: nothing moves
-        // Miss buffer -> shaper queue.
-        while (!pc.missBuffer.empty() && pc.reqShaper->canAccept())
-            pc.reqShaper->push(pc.missBuffer.pop(), now_);
-        // Shaper -> shared request channel.
-        const bool ready = reqChannel_->canAccept(port);
-        if (auto released = pc.reqShaper->tick(now_, ready))
-            pushToReqChannel(pc, std::move(*released), true);
-        return;
-    }
 
-    // Unshaped: straight to the channel (one per cycle per port).
-    if (!pc.missBuffer.empty() && reqChannel_->canAccept(port)) {
-        MemRequest req = pc.missBuffer.pop();
-        req.shaperOut = now_;
-        pushToReqChannel(pc, std::move(req), false);
-    }
-}
-
-void
-System::routeMcResponses()
-{
-    // Injected-delay buffer: release entries that have come due.
-    if (!delayedResp_.empty()) {
-        for (auto it = delayedResp_.begin(); it != delayedResp_.end();) {
-            if (it->releaseAt <= now_) {
-                const std::uint32_t c = it->resp.core;
-                camo_assert(c < cores_.size(),
-                            "response for unknown core");
-                cores_[c]->respBuffer.push(std::move(it->resp), now_);
-                it = delayedResp_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    }
-
-    respScratch_.clear();
-    mem_->drainResponses(now_, respScratch_);
-    for (MemRequest &resp : respScratch_) {
-        const std::uint32_t c = resp.core;
-        camo_assert(c < cores_.size(), "response for unknown core");
-        if (injector_) {
-            Cycle delay = 0;
-            switch (injector_->onResponse(now_, resp, &delay)) {
-              case hard::FaultInjector::RespAction::Drop:
-                stats_.inc("hard.resp_dropped");
-                continue;
-              case hard::FaultInjector::RespAction::Delay:
-                stats_.inc("hard.resp_delayed");
-                delayedResp_.push_back({now_ + delay, std::move(resp)});
-                continue;
-              case hard::FaultInjector::RespAction::Duplicate:
-                stats_.inc("hard.resp_duplicated");
-                cores_[c]->respBuffer.push(resp, now_); // extra copy
-                break;
-              case hard::FaultInjector::RespAction::Pass:
-                break;
-            }
-        }
-        cores_[c]->respBuffer.push(std::move(resp), now_);
-    }
-}
-
-void
-System::feedResponsePath(PerCore &pc)
-{
-    const std::uint32_t port = pc.core->id();
-
-    if (pc.respShaper) {
-        if (injector_ && injector_->respShaperWedged(port, now_))
-            return; // wedged: responses pile up behind it
-        while (!pc.respBuffer.empty() && pc.respShaper->canAccept())
-            pc.respShaper->push(pc.respBuffer.pop(), now_);
-        // Forward accumulated priority warnings to the scheduler.
-        if (const std::uint32_t boost =
-                pc.respShaper->takePriorityWarning()) {
-            mem_->boostPriority(port, boost);
-            // Boost tokens re-segment the controller's candidate
-            // pool, which can advance its earliest-pick bound (the
-            // FCFS-family head changes); re-derive it this cycle.
-            mem_->scheduleAt(now_);
-        }
-        const bool ready = respChannel_->canAccept(port);
-        if (auto released = pc.respShaper->tick(now_, ready))
-            pushToRespChannel(pc, std::move(*released), true);
-        return;
-    }
-
-    if (!pc.respBuffer.empty() && respChannel_->canAccept(port)) {
-        MemRequest resp = pc.respBuffer.pop();
-        resp.respShaperOut = now_;
-        pushToRespChannel(pc, std::move(resp), false);
-    }
-}
-
-void
-System::deliverResponses()
-{
-    // One delivery per cycle: the return channel's bandwidth.
-    if (!respChannel_->hasEgress(now_))
-        return;
-    MemRequest resp = respChannel_->popEgress(now_);
-    const std::uint32_t c = resp.core;
-    camo_assert(c < cores_.size(), "response for unknown core");
-    PerCore &pc = *cores_[c];
-    resp.delivered = now_;
-    pc.respMon.record(now_, resp.isFake);
-
-    if (resp.isFake) {
-        stats_.inc("responses.fake.dropped");
-        CAMO_TRACE_EVENT(tracer_.get(), .at = now_,
-                         .type = obs::EventType::FakeRespDropped,
-                         .core = resp.core, .id = resp.id);
-        return; // pure bus activity; no core state waits on it
-    }
-
-    // Lifecycle retire runs BEFORE the cache fill: a duplicate
-    // response must be reported as such, not as the MSHR-bookkeeping
-    // panic it would trigger downstream.
-    if (checkers_ && checkers_->config().lifecycle && !resp.isWrite)
-        checkers_->lifecycle().onRetire(resp.id, resp.core, now_);
-    if (pc.inflightReads > 0)
-        --pc.inflightReads;
-
-    CAMO_TRACE_EVENT(tracer_.get(), .at = now_,
-                     .type = obs::EventType::RespDelivered,
-                     .core = resp.core, .id = resp.id,
-                     .addr = resp.addr, .arg = resp.totalLatency());
-    ++pc.servedReads;
-    pc.latencySum += resp.totalLatency();
-    if (cfg_.recordLatencies)
-        pc.latencies.push_back({now_, resp.totalLatency()});
-    // The fill mutates the core from a later graph position: settle
-    // the core's batched idle accounting first (its pre-fill stall
-    // state is what those cycles looked like), then apply the fill;
-    // the wake lands next cycle — exactly when the tick loop's core
-    // would have seen it.
-    catchUp(pc.coreIdx, now_);
-    const Cycle usable = pc.cache->onFill(resp.addr, now_);
-    pc.core->onFill(resp.addr, usable);
-    pc.core->scheduleAt(now_);
-    // Fills can displace dirty lines: collect the writebacks.
-    drainCacheOutgoing(pc);
-}
 
 void
 System::registerStats(obs::StatRegistry &reg) const
@@ -1026,78 +388,29 @@ System::registerStats(obs::StatRegistry &reg) const
 void
 System::enableIntervalStats(Cycle period)
 {
-    std::vector<std::string> cols{"mc.readq", "mc.writeq"};
-    for (std::uint32_t i = 0; i < cores_.size(); ++i) {
-        const std::string prefix = "core" + std::to_string(i);
-        cols.push_back(prefix + ".ipc");
-        cols.push_back(prefix + ".bus.real");
-        cols.push_back(prefix + ".bus.fake");
-        cols.push_back(prefix + ".req_credits");
-        cols.push_back(prefix + ".resp_credits");
-    }
-    if (leakmon_) {
-        cols.push_back("leakmon.window_mi_bits");
-        intervalHasLeakCol_ = true;
-    }
-    interval_ =
-        std::make_unique<obs::IntervalCollector>(period, std::move(cols));
-    for (auto &pc : cores_) {
-        pc->ivRetired = pc->core->retired();
-        pc->ivCycles = pc->core->cycles();
-        pc->ivBusReal = pc->busMon.realCount();
-        pc->ivBusFake = pc->busMon.fakeCount();
-    }
+    pipe_->interval->enable(period, leakmon_.get());
+}
+
+const obs::IntervalCollector *
+System::intervalStats() const
+{
+    return pipe_->interval->collector_.get();
 }
 
 void
-System::sampleIntervalAt(Cycle at)
+System::setContracts(std::uint32_t i)
 {
-    // Under the event kernel the interval station runs near the end
-    // of the graph: every component due this cycle has already
-    // ticked, and catching the rest up through the boundary settles
-    // their batched idle accounting, so the row reads exactly what
-    // the per-cycle loop would have shown at `at`.
-    if (kernelActive_ && inCycle_)
-        syncAllThrough(at, procIdx_);
-    std::vector<double> row;
-    row.reserve(interval_->columns().size());
-    row.push_back(static_cast<double>(mem_->readQueueSize()));
-    row.push_back(static_cast<double>(mem_->writeQueueSize()));
-    for (auto &pc : cores_) {
-        const std::uint64_t retired = pc->core->retired();
-        const std::uint64_t cycles = pc->core->cycles();
-        const std::uint64_t dc = cycles - pc->ivCycles;
-        row.push_back(dc ? static_cast<double>(retired - pc->ivRetired) /
-                               static_cast<double>(dc)
-                         : 0.0);
-        const std::uint64_t real = pc->busMon.realCount();
-        const std::uint64_t fake = pc->busMon.fakeCount();
-        row.push_back(static_cast<double>(real - pc->ivBusReal));
-        row.push_back(static_cast<double>(fake - pc->ivBusFake));
-        row.push_back(pc->reqShaper
-                          ? pc->reqShaper->bins().creditsTotal()
-                          : 0.0);
-        row.push_back(pc->respShaper
-                          ? pc->respShaper->bins().creditsTotal()
-                          : 0.0);
-        pc->ivRetired = retired;
-        pc->ivCycles = cycles;
-        pc->ivBusReal = real;
-        pc->ivBusFake = fake;
-    }
-    if (intervalHasLeakCol_)
-        row.push_back(leakmon_->lastWindowMiBits());
-    interval_->addRow(at, std::move(row));
-}
-
-hard::ShaperContract
-System::contractOf(const shaper::BinConfig &cfg)
-{
-    hard::ShaperContract c;
-    c.edges = cfg.edges;
-    c.credits = cfg.credits;
-    c.replenishPeriod = cfg.replenishPeriod;
-    return c;
+    // A new contract needs a fresh credit audit.
+    auto set = [i](shaper::BinShaper &bins,
+                   hard::ShaperConservationChecker &cons) {
+        const shaper::BinConfig &c = bins.config();
+        cons.setContract(i, {c.edges, c.credits, c.replenishPeriod});
+        bins.setAuditPending(true);
+    };
+    if (shaper::RequestShaper *s = requestShaper(i))
+        set(s->binsMut(), checkers_->reqConservation());
+    if (shaper::ResponseShaper *s = responseShaper(i))
+        set(s->binsMut(), checkers_->respConservation());
 }
 
 void
@@ -1113,24 +426,16 @@ System::enableCheckers(const hard::CheckerConfig &cfg)
         }
     }
     if (cfg.conservation) {
-        for (std::uint32_t i = 0; i < cores_.size(); ++i) {
-            const PerCore &pc = *cores_[i];
-            if (pc.reqShaper) {
-                checkers_->reqConservation().setContract(
-                    i, contractOf(pc.reqShaper->bins().config()));
-            }
-            if (pc.respShaper) {
-                checkers_->respConservation().setContract(
-                    i, contractOf(pc.respShaper->bins().config()));
-            }
-        }
+        for (std::uint32_t i = 0; i < cores_.size(); ++i)
+            setContracts(i);
     }
+    pipe_->checkers = checkers_.get();
 }
 
 void
 System::setFaultInjector(hard::FaultInjector *injector)
 {
-    injector_ = injector;
+    pipe_->injector = injector;
 }
 
 void
@@ -1196,15 +501,17 @@ System::diagnosticJson(const std::string &reason) const
     auto queues = obs::json::Value::makeObject();
     for (std::uint32_t i = 0; i < cores_.size(); ++i) {
         const PerCore &pc = *cores_[i];
+        const shaper::RequestShaper *rs = pc.reqPipe->shaper();
+        const shaper::ResponseShaper *ps = pc.respPipe->shaper();
         auto q = obs::json::Value::makeObject();
         q["miss_buffer"] = static_cast<std::uint64_t>(
             pc.missBuffer.size());
         q["resp_buffer"] = static_cast<std::uint64_t>(
             pc.respBuffer.size());
-        q["req_shaper_queue"] = static_cast<std::uint64_t>(
-            pc.reqShaper ? pc.reqShaper->queueDepth() : 0);
-        q["resp_shaper_queue"] = static_cast<std::uint64_t>(
-            pc.respShaper ? pc.respShaper->queueDepth() : 0);
+        q["req_shaper_queue"] =
+            static_cast<std::uint64_t>(rs ? rs->queueDepth() : 0);
+        q["resp_shaper_queue"] =
+            static_cast<std::uint64_t>(ps ? ps->queueDepth() : 0);
         q["inflight_reads"] = pc.inflightReads;
         q["req_ingress"] = static_cast<std::uint64_t>(
             reqChannel_->ingressDepth(i));
@@ -1222,7 +529,7 @@ System::diagnosticJson(const std::string &reason) const
     queues["resp_egress"] =
         static_cast<std::uint64_t>(respChannel_->egressDepth());
     queues["delayed_responses"] =
-        static_cast<std::uint64_t>(delayedResp_.size());
+        static_cast<std::uint64_t>(pipe_->memRoute->delayed_.size());
     root["queues"] = std::move(queues);
 
     obs::StatRegistry reg;
@@ -1256,27 +563,18 @@ System::degradeShaper(std::uint32_t i)
         return;
     pc.degraded = true;
     stats_.inc("hard.shaper_degraded");
-    if (pc.reqShaper) {
-        const shaper::BinConfig safe =
-            shaper::BinConfig::failSecure(pc.reqShaper->bins().config());
-        pc.reqShaper->reconfigure(safe);
-        if (checkers_ && checkers_->config().conservation)
-            checkers_->reqConservation().setContract(i, contractOf(safe));
-    }
-    if (pc.respShaper) {
-        const shaper::BinConfig safe = shaper::BinConfig::failSecure(
-            pc.respShaper->bins().config());
-        pc.respShaper->reconfigure(safe);
-        if (checkers_ && checkers_->config().conservation)
-            checkers_->respConservation().setContract(i,
-                                                      contractOf(safe));
-    }
+    if (shaper::RequestShaper *s = pc.reqPipe->shaper())
+        s->reconfigure(shaper::BinConfig::failSecure(s->bins().config()));
+    if (shaper::ResponseShaper *s = pc.respPipe->shaper())
+        s->reconfigure(shaper::BinConfig::failSecure(s->bins().config()));
+    if (checkers_ && checkers_->config().conservation)
+        setContracts(i);
     // A mid-run degradation swaps the shapers' schedules out from
-    // under the driving stations: force both to requery their bounds.
-    if (kernelActive_) {
-        wakeAt(static_cast<std::uint32_t>(pc.corePipeIdx), now_ + 1);
-        wakeAt(static_cast<std::uint32_t>(pc.respPipeIdx), now_ + 1);
-    }
+    // under the driving stations: force both to requery their bounds,
+    // and audit the reprogrammed credits at the end of this cycle.
+    pc.reqPipe->scheduleAt(now_ + 1);
+    pc.respPipe->scheduleAt(now_ + 1);
+    pipe_->creditCheck->scheduleAt(now_);
     // Fake generation is deliberately left untouched: degradation must
     // never reveal more than the schedule it replaces.
     camo_warn("core ", i, " shapers degraded to the fail-secure ",
@@ -1331,116 +629,9 @@ System::onShaperViolation(std::uint32_t core, const std::string &msg)
     throw hard::InvariantViolation(msg, dump, path);
 }
 
-void
-System::pushToReqChannel(PerCore &pc, MemRequest req,
-                         bool shaper_release)
-{
-    const std::uint32_t port = pc.core->id();
-    if (checkers_) {
-        const bool tracked = !req.isFake && !req.isWrite;
-        if (checkers_->config().conservation &&
-            checkers_->reqConservation().hasContract(port)) {
-            if (shaper_release)
-                checkers_->reqConservation().onShaperRelease(port, now_);
-            const bool fakes_on =
-                pc.reqShaper && pc.reqShaper->generateFakes();
-            const std::string v = checkers_->reqConservation().onBusPush(
-                port, now_, req.isFake, fakes_on);
-            if (!v.empty())
-                onShaperViolation(port, v);
-        }
-        if (checkers_->config().lifecycle && tracked)
-            checkers_->lifecycle().onIssue(req.id, port, now_);
-    }
-    if (!req.isFake && !req.isWrite)
-        ++pc.inflightReads;
-    pc.busMon.record(now_, req.isFake);
-    reqChannel_->push(port, std::move(req), now_);
-}
 
-void
-System::pushToRespChannel(PerCore &pc, MemRequest resp,
-                          bool shaper_release)
-{
-    const std::uint32_t port = pc.core->id();
-    if (checkers_ && checkers_->config().conservation &&
-        checkers_->respConservation().hasContract(port)) {
-        if (shaper_release)
-            checkers_->respConservation().onShaperRelease(port, now_);
-        const bool fakes_on =
-            pc.respShaper && pc.respShaper->generateFakes();
-        const std::string v = checkers_->respConservation().onBusPush(
-            port, now_, resp.isFake, fakes_on);
-        if (!v.empty())
-            onShaperViolation(port, v);
-    }
-    respChannel_->push(port, std::move(resp), now_);
-}
 
-void
-System::checkCreditState()
-{
-    for (std::uint32_t i = 0; i < cores_.size(); ++i) {
-        const PerCore &pc = *cores_[i];
-        if (pc.reqShaper &&
-            checkers_->reqConservation().hasContract(i)) {
-            const std::string v =
-                checkers_->reqConservation().onCreditState(
-                    i, pc.reqShaper->bins().credits());
-            if (!v.empty())
-                onShaperViolation(i, v);
-        }
-        if (pc.respShaper &&
-            checkers_->respConservation().hasContract(i)) {
-            const std::string v =
-                checkers_->respConservation().onCreditState(
-                    i, pc.respShaper->bins().credits());
-            if (!v.empty())
-                onShaperViolation(i, v);
-        }
-    }
-}
 
-void
-System::applyInjectedFaults()
-{
-    for (std::uint32_t i = 0; i < cores_.size(); ++i) {
-        PerCore &pc = *cores_[i];
-        if (pc.reqShaper || pc.respShaper) {
-            if (injector_->corruptCreditsDue(i, now_)) {
-                if (pc.reqShaper) {
-                    pc.reqShaper->binsMut().injectLiveCredits(
-                        2 * shaper::kMaxCreditsPerBin);
-                }
-                if (pc.respShaper) {
-                    pc.respShaper->binsMut().injectLiveCredits(
-                        2 * shaper::kMaxCreditsPerBin);
-                }
-            }
-            if (injector_->starveCreditsDue(i, now_)) {
-                if (pc.reqShaper)
-                    pc.reqShaper->binsMut().injectStarvation();
-                if (pc.respShaper)
-                    pc.respShaper->binsMut().injectStarvation();
-            }
-        }
-        if (pc.reqShaper && injector_->malformedConfigDue(i, now_)) {
-            // Round-trip the live configuration through the hardware
-            // ConfigPort with a zeroed register image: the decode-side
-            // validation must reject it and the old schedule must
-            // survive.
-            shaper::RegisterFile regs =
-                shaper::encodeConfig(pc.reqShaper->bins().config());
-            std::fill(regs.words.begin(), regs.words.end(), 0u);
-            try {
-                pc.reqShaper->reconfigure(shaper::decodeConfig(regs));
-                stats_.inc("hard.config_accepted_malformed");
-            } catch (const hard::ConfigError &) {
-                stats_.inc("hard.config_rejected");
-            }
-        }
-    }
-}
 
 void
 System::pollWatchdog(Cycle next_event)
@@ -1449,13 +640,13 @@ System::pollWatchdog(Cycle next_event)
     std::vector<hard::CoreProgress> progress;
     progress.reserve(cores_.size());
     for (const auto &pc : cores_) {
+        const shaper::RequestShaper *rs = pc->reqPipe->shaper();
+        const shaper::ResponseShaper *ps = pc->respPipe->shaper();
         hard::CoreProgress cp;
         cp.progress = pc->core->retired() + pc->servedReads;
-        cp.pending =
-            pc->inflightReads > 0 || !pc->missBuffer.empty() ||
-            !pc->respBuffer.empty() ||
-            (pc->reqShaper && pc->reqShaper->queueDepth() > 0) ||
-            (pc->respShaper && pc->respShaper->queueDepth() > 0);
+        cp.pending = pc->inflightReads > 0 || !pc->missBuffer.empty() ||
+                     !pc->respBuffer.empty() || (rs && rs->queueDepth()) ||
+                     (ps && ps->queueDepth());
         progress.push_back(cp);
     }
     if (const auto reason =
@@ -1486,7 +677,8 @@ System::enableLeakMonitor(const obs::LeakMonitorConfig &cfg)
     leakmon_ =
         std::make_unique<obs::LeakMonitor>(cfg, pc.intrinsicMon,
                                            pc.busMon);
-    graph_.emplace<LeakMonStation>(this);
+    graph_.emplace<LeakMonStation>(
+        *leakmon_, [this](const std::string &msg) { onLeakageAlert(msg); });
 }
 
 void
@@ -1594,7 +786,7 @@ System::runLoop(Cycle cycles)
     }
     // Settle every component's idle accounting at end-of-run so stats
     // match the per-cycle reference loop bit for bit.
-    syncAllThrough(end, graph_.order().size());
+    catchUpAhead(static_cast<std::uint32_t>(graph_.order().size()), end);
     now_ = end;
 }
 
@@ -1623,7 +815,7 @@ System::wakeAt(std::uint32_t id, Cycle at)
 }
 
 void
-System::catchUp(std::size_t i, Cycle through)
+System::catchUp(std::uint32_t i, Cycle through)
 {
     if (!kernelActive_)
         return;
@@ -1644,9 +836,9 @@ System::catchUp(std::size_t i, Cycle through)
 }
 
 void
-System::syncAllThrough(Cycle through, std::size_t limit)
+System::catchUpAhead(std::uint32_t id, Cycle through)
 {
-    for (std::size_t i = 0; i < limit; ++i)
+    for (std::uint32_t i = 0; i < id; ++i)
         catchUp(i, through);
 }
 
@@ -1659,22 +851,10 @@ System::syncForDiagnostic()
     // previous cycle.
     if (!kernelActive_)
         return;
-    const std::size_t n = graph_.order().size();
-    for (std::size_t i = 0; i < n && i < lastSync_.size(); ++i) {
-        const Cycle through =
-            inCycle_ ? (i <= procIdx_ ? procCycle_ : procCycle_ - 1)
-                     : now_;
-        catchUp(i, through);
-    }
-}
-
-void
-System::wakeFaultTargets(Cycle at)
-{
-    for (const auto &pc : cores_) {
-        wakeAt(static_cast<std::uint32_t>(pc->corePipeIdx), at);
-        wakeAt(static_cast<std::uint32_t>(pc->respPipeIdx), at);
-    }
+    const auto n = static_cast<std::uint32_t>(lastSync_.size());
+    if (inCycle_)
+        catchUpAhead(static_cast<std::uint32_t>(procIdx_) + 1, procCycle_);
+    catchUpAhead(n, inCycle_ ? procCycle_ - 1 : now_);
 }
 
 void
@@ -1733,7 +913,7 @@ System::processCycle(Cycle cycle)
             dueBits_[w] &= dueBits_[w] - 1;
             const std::size_t i = (w << 6) | b;
             procIdx_ = i;
-            catchUp(i, cycle - 1);
+            catchUp(static_cast<std::uint32_t>(i), cycle - 1);
             tickComponent(i, cycle);
             lastSync_[i] = cycle;
             // Re-arm with a min-merge: a future self-wake issued

@@ -3,23 +3,15 @@
  * Full-system assembly: cores + caches + Camouflage shapers + shared
  * channels + memory system + DRAM, in the paper's Figure 5 topology.
  *
- * The System is a declarative topology builder over the simulation
- * kernel (src/sim/component.h): construction instantiates N cores x M
- * memory channels from a compiled SystemPlan (src/sim/plan.h) and
- * lays the
- * subsystems plus thin glue "stations" into one ordered
- * ComponentGraph. Execution is event-driven: run() seeds an
- * EventScheduler calendar from every component's nextEventCycle()
- * bound, then pops due batches and jumps the clock straight to the
- * next scheduled cycle — components self-schedule their wakeups
- * (every hand-off wakes its subscribed consumer at the cycle the data
- * lands; ticked components are re-armed from their bounds), and
- * per-component lazy catch-up replays the skipped idle accounting
- * bit-exactly. Stat registration and tracer fan-out remain single
- * iterations over the graph — adding a component (see addComponent())
- * requires no edits to any of those paths. See README.md for the
- * architecture diagram, DESIGN.md §11 for the component contract, and
- * DESIGN.md §13 for the event kernel.
+ * Construction instantiates N cores x M memory channels from a
+ * compiled SystemPlan (src/sim/plan.h) and lays them, with the glue
+ * stations of src/sim/stations.h, into one ordered ComponentGraph
+ * (src/sim/component.h). run() drives that graph on the event kernel:
+ * it seeds an EventScheduler calendar from every component's
+ * nextEventCycle() bound, pops due batches, jumps the clock between
+ * them, and replays skipped idle accounting lazily and bit-exactly.
+ * README.md has the architecture diagram, DESIGN.md §11 the component
+ * contract and §13 the event kernel.
  */
 
 #ifndef CAMO_SIM_SYSTEM_H
@@ -54,8 +46,6 @@
 #include "src/security/covert_receiver.h"
 #include "src/sim/component.h"
 #include "src/sim/event_scheduler.h"
-#include "src/sim/port.h"
-#include "src/trace/trace.h"
 
 namespace camo::sim {
 
@@ -131,6 +121,8 @@ struct TopologyConfig
 };
 
 class SystemPlan;
+struct PerCore;
+struct Pipeline;
 
 /**
  * Per-run knobs of SystemPlan::instantiate(). Everything the sweep
@@ -154,7 +146,7 @@ void validateSystemConfig(const SystemConfig &cfg,
                           std::size_t num_workloads);
 
 /** The simulated machine. */
-class System : public WakeSink
+class System final : public WakeSink
 {
   public:
     /**
@@ -188,6 +180,8 @@ class System : public WakeSink
      * outside an event-driven run.
      */
     void wakeAt(std::uint32_t id, Cycle at) override;
+    void catchUp(std::uint32_t id, Cycle through) override;
+    void catchUpAhead(std::uint32_t id, Cycle through) override;
 
     Cycle now() const { return now_; }
     std::uint32_t numCores() const
@@ -294,7 +288,7 @@ class System : public WakeSink
     /**
      * Arm the online leakage monitor over cfg.core's intrinsic and
      * request-channel streams (turns on event logging for both). A
-     * LeakMonStation joins the graph and re-evaluates the sliding MI
+     * station.leakmon joins the graph and re-evaluates the sliding MI
      * window every cfg.checkPeriod cycles; on a sustained threshold
      * breach the run throws hard::LeakageAlert with a JSON
      * diagnostic (camosim exit code 6). Enable *before*
@@ -314,10 +308,7 @@ class System : public WakeSink
      *  shaper credit occupancy). */
     void enableIntervalStats(Cycle period);
     /** nullptr until enableIntervalStats() is called. */
-    const obs::IntervalCollector *intervalStats() const
-    {
-        return interval_.get();
-    }
+    const obs::IntervalCollector *intervalStats() const;
 
     // ----- Hardening layer (fail-secure operation) -----------------
 
@@ -334,8 +325,8 @@ class System : public WakeSink
     hard::CheckerSet *checkers() { return checkers_.get(); }
     const hard::CheckerSet *checkers() const { return checkers_.get(); }
 
-    /** Attach a fault injector (borrowed; may be nullptr to detach).
-     *  The System consults it at its hook points every tick. */
+    /** Attach a fault injector (borrowed; nullptr detaches); the
+     *  stations consult it at their hook points. */
     void setFaultInjector(hard::FaultInjector *injector);
 
     /** Arm the forward-progress watchdog; run() polls it and throws
@@ -386,37 +377,7 @@ class System : public WakeSink
     void checkForLeaks() const;
 
   private:
-    struct PerCore;
-
-    // Glue stations: thin Components wrapping the inter-subsystem
-    // hand-offs the Figure-5 pipeline needs each cycle. Declared here
-    // (defined in system.cc) so they can touch System internals.
-    struct FaultApplyStation;
-    struct CorePipeStation;
-    struct ReqLinkStation;
-    struct MemRouteStation;
-    struct RespPipeStation;
-    struct RespLinkStation;
-    struct CreditCheckStation;
-    struct IntervalStation;
-    struct LeakMonStation;
-
-    /** A response held back by an injected delay fault. */
-    struct DelayedResponse
-    {
-        Cycle releaseAt = 0;
-        MemRequest resp;
-    };
-
     void buildTopology(const SystemPlan &plan);
-    void drainCacheOutgoing(PerCore &pc);
-    void feedRequestPath(PerCore &pc);
-    void routeMcResponses();
-    void feedResponsePath(PerCore &pc);
-    void deliverResponses();
-    /** Interval row at cycle `at` (every component synced first). */
-    void sampleIntervalAt(Cycle at);
-    bool coreIsShaped(std::uint32_t i) const;
     /** run() body (run() adds the profiler's root scope). */
     void runLoop(Cycle cycles);
     /** Tick graph component `i` at `cycle`, timed when a profiler is
@@ -436,45 +397,28 @@ class System : public WakeSink
     void rebuildWakes();
     /** Process every component due at `cycle` in topology order. */
     void processCycle(Cycle cycle);
-    /** Batch-account component `i`'s provably-idle cycles up to and
-     *  including `through` (no-op when already synced). */
-    void catchUp(std::size_t i, Cycle through);
-    /** catchUp every component with index < `limit`. */
-    void syncAllThrough(Cycle through, std::size_t limit);
     /** Bring the machine to the exact state the per-cycle loop would
      *  show at the current point (used before diagnostic dumps). */
     void syncForDiagnostic();
-    /** Wake the per-core pipe stations at `at` (fault-application
-     *  glue). */
-    void wakeFaultTargets(Cycle at);
 
     // Hardening internals.
-    void applyInjectedFaults();
-    /** Single funnel onto the shared request channel: lifecycle +
-     *  conservation accounting happen here so no push can skip them.
-     *  `shaper_release` marks pushes the shaper legitimately
-     *  released this cycle. */
-    void pushToReqChannel(PerCore &pc, MemRequest req,
-                          bool shaper_release);
-    void pushToRespChannel(PerCore &pc, MemRequest resp,
-                           bool shaper_release);
-    void checkCreditState();
     void onShaperViolation(std::uint32_t core, const std::string &msg);
     void pollWatchdog(Cycle next_event);
-    static hard::ShaperContract contractOf(const shaper::BinConfig &cfg);
+    /** Contract core `i`'s shapers to their current configurations. */
+    void setContracts(std::uint32_t i);
 
     SystemConfig cfg_;
     /** Hot-path allocator; declared before every component owner so
      *  it outlives the containers drawing from it. */
     std::unique_ptr<Arena> arena_;
     Cycle now_ = 0;
-    /** Reused each tick by routeMcResponses (allocation-free drain). */
-    std::vector<MemRequest> respScratch_;
 
     std::vector<std::unique_ptr<PerCore>> cores_;
     std::unique_ptr<noc::SharedChannel> reqChannel_;
     std::unique_ptr<noc::SharedChannel> respChannel_;
     std::unique_ptr<mem::MemorySystem> mem_;
+    /** What the glue stations share (src/sim/stations.h). */
+    std::unique_ptr<Pipeline> pipe_;
     /** Tick-ordered graph over the subsystems + stations above. */
     ComponentGraph graph_;
     StatGroup stats_;
@@ -482,10 +426,6 @@ class System : public WakeSink
      *  registry borrows groups; the arena counters are plain ints). */
     mutable StatGroup arenaStats_;
     std::unique_ptr<obs::Tracer> tracer_;
-    std::unique_ptr<obs::IntervalCollector> interval_;
-    /** Interval rows carry the windowed-MI column (leak monitor was
-     *  armed before enableIntervalStats). */
-    bool intervalHasLeakCol_ = false;
     std::unique_ptr<obs::LeakMonitor> leakmon_;
 
     // Host-time profiler (borrowed) + cached node ids, one per
@@ -514,9 +454,6 @@ class System : public WakeSink
     bool inCycle_ = false;      ///< inside processCycle()
     Cycle procCycle_ = 0;       ///< cycle being processed
     std::size_t procIdx_ = 0;   ///< graph index being ticked
-    /** Graph index of the memory system (ReqLinkStation catches it
-     *  up before an enqueue). */
-    std::size_t memIdx_ = 0;
 
     /**
      * Write the diagnostic dump for `tag` and return where it went:
@@ -530,13 +467,10 @@ class System : public WakeSink
 
     std::unique_ptr<hard::CheckerSet> checkers_;
     std::unique_ptr<hard::Watchdog> watchdog_;
-    hard::FaultInjector *injector_ = nullptr;
     std::ostream *diagStream_; ///< defaults to &std::cerr (ctor)
     std::string diagDir_;      ///< empty = dump to diagStream_
     const std::uint64_t diagInstance_; ///< process-unique System id
     mutable std::uint64_t diagSeq_ = 0; ///< per-instance dump counter
-    std::vector<DelayedResponse> delayedResp_;
-    std::uint64_t forcedFakes_ = 0; ///< ids for injected fakes
 };
 
 } // namespace camo::sim

@@ -530,7 +530,7 @@ TEST(SystemHardening, CheckersAreBitExactOnCleanRuns)
     EXPECT_GT(hardened->checkers()->lifecycle().issued(), 0u);
 }
 
-TEST(SystemHardening, CreditAuditRunsEveryCycleOnBothLoops)
+TEST(SystemHardening, CreditAuditCatchesBetweenRunWriteOnBothLoops)
 {
     // A live credit register corrupted between runs, with no fault
     // injector to wake anything: the end-of-cycle credit audit must
@@ -556,6 +556,26 @@ TEST(SystemHardening, CreditAuditRunsEveryCycleOnBothLoops)
               std::string::npos)
         << oracle.second;
     EXPECT_EQ(audit(true), oracle);
+}
+
+TEST(SystemHardening, CreditAuditSleepsWithoutCreditWrites)
+{
+    // Fault-free and conservation-checked: after the first audit
+    // passes, nothing writes a credit register (replenishments reload
+    // the audited programmed credits, consumption only decrements), so
+    // under the event kernel the audit station must not tick every
+    // cycle the way a poll would.
+    auto sys = makeHardened(twoCoreBdc(), nullptr, true, 0);
+    obs::Profiler prof;
+    sys->setProfiler(&prof);
+    const Cycle cycles = 200000;
+    sys->run(cycles);
+    const obs::Profiler::NodeId node = prof.child(
+        prof.child(prof.root(), "tick"), "station.creditcheck");
+    const std::uint64_t audits = prof.node(node).calls;
+    EXPECT_GE(audits, 1u); // the construction-time registers
+    EXPECT_LT(audits * 1000, cycles) << audits << " audits";
+    EXPECT_EQ(sys->stats().counter("hard.shaper_violations"), 0u);
 }
 
 TEST(SystemHardening, DiagnosticJsonIsStructured)

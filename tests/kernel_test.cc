@@ -23,7 +23,7 @@
 #include "src/obs/registry.h"
 #include "src/obs/tracer.h"
 #include "src/sim/component.h"
-#include "src/sim/port.h"
+#include "src/sim/wire.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 #include "src/sim/plan.h"
@@ -113,6 +113,36 @@ TEST(ComponentGraph, TicksInInsertionOrder)
     EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
     EXPECT_EQ(sys.graph().size(), before + 3);
     EXPECT_EQ(sys.graph().order()[before + 1]->name(), "rec1");
+}
+
+TEST(ComponentGraph, Figure5TickOrderIsPinned)
+{
+    // Perfbench attributes host time to stations by these names, and
+    // the kernel is bit-exact with the oracle only in this order.
+    SystemConfig cfg = paperConfig();
+    cfg.numCores = 2;
+    cfg.mitigation = Mitigation::BDC;
+    System sys(SystemPlan(cfg, {"mcf", "astar"}));
+    auto names = [&sys] {
+        std::vector<std::string> out;
+        for (const Component *c : sys.graph().order())
+            out.push_back(c->name());
+        return out;
+    };
+    std::vector<std::string> expected{
+        "station.faults",        "core0",
+        "station.reqpipe.core0", "core1",
+        "station.reqpipe.core1", "noc.req",
+        "station.reqlink",       "mem",
+        "station.memroute",      "station.resppipe.core0",
+        "station.resppipe.core1", "noc.resp",
+        "station.resplink",      "station.creditcheck",
+        "station.interval"};
+    EXPECT_EQ(names(), expected);
+
+    sys.enableLeakMonitor(obs::LeakMonitorConfig{});
+    expected.push_back("station.leakmon");
+    EXPECT_EQ(names(), expected);
 }
 
 TEST(ComponentGraph, NextEventCycleIsMinFold)
