@@ -38,38 +38,10 @@ DramDevice::DramDevice(const DramOrganization &org, const DramTiming &timing)
         rank.banks.resize(org.banksPerRank);
 }
 
-const BankState &
-DramDevice::bank(std::uint32_t rank, std::uint32_t b) const
+void
+DramDevice::bankIndexOutOfRange(std::uint32_t rank, std::uint32_t b)
 {
-    camo_assert(rank < ranks_.size() && b < ranks_[rank].banks.size(),
-                "bank index out of range: rank=", rank, " bank=", b);
-    return ranks_[rank].banks[b];
-}
-
-BankState &
-DramDevice::bankMut(std::uint32_t rank, std::uint32_t b)
-{
-    return const_cast<BankState &>(bank(rank, b));
-}
-
-bool
-DramDevice::isRowHit(const DramAddress &da) const
-{
-    const BankState &bs = bank(da.rank, da.bank);
-    return bs.open && bs.openRow == da.row;
-}
-
-bool
-DramDevice::isRowOpen(const DramAddress &da) const
-{
-    return bank(da.rank, da.bank).open;
-}
-
-bool
-DramDevice::allBanksClosed(const RankState &rs) const
-{
-    return std::none_of(rs.banks.begin(), rs.banks.end(),
-                        [](const BankState &b) { return b.open; });
+    camo_panic("bank index out of range: rank=", rank, " bank=", b);
 }
 
 bool
@@ -85,118 +57,6 @@ DramDevice::refreshDebt(std::uint32_t rank, std::uint64_t now) const
     const std::uint64_t owed = now / timing_.tREFI;
     const std::uint64_t done = ranks_[rank].refreshesDone;
     return owed > done ? owed - done : 0;
-}
-
-std::uint64_t
-DramDevice::dataBusFreeFor(std::uint32_t rank) const
-{
-    return rank == lastDataRank_ ? dataBusFreeAt_
-                                 : dataBusFreeAt_ + timing_.tRTRS;
-}
-
-bool
-DramDevice::canIssue(Cmd cmd, const DramAddress &da, std::uint64_t now) const
-{
-    if (now < cmdBusFreeAt_)
-        return false;
-    camo_assert(da.rank < ranks_.size(), "rank out of range");
-    const RankState &rs = ranks_[da.rank];
-    const BankState &bs = bank(da.rank, da.bank);
-
-    switch (cmd) {
-      case Cmd::ACT: {
-        if (bs.open || now < bs.nextAct)
-            return false;
-        // tFAW: at most 4 ACTs per rank in any tFAW window.
-        if (rs.actWindow.size() >= 4 &&
-            now < rs.actWindow.front() + timing_.tFAW) {
-            return false;
-        }
-        // tRRD against the most recent ACT on this rank.
-        if (!rs.actWindow.empty() &&
-            now < rs.actWindow.back() + timing_.tRRD) {
-            return false;
-        }
-        return true;
-      }
-      case Cmd::PRE:
-        return bs.open && now >= bs.nextPre;
-      case Cmd::RD:
-        if (!isRowHit(da) || now < bs.nextRead || now < rs.nextRead)
-            return false;
-        // Data burst must not overlap the previous one on the bus
-        // (plus tRTRS when switching ranks).
-        return now + timing_.tCL >= dataBusFreeFor(da.rank);
-      case Cmd::WR:
-        if (!isRowHit(da) || now < bs.nextWrite || now < rs.nextWrite)
-            return false;
-        return now + timing_.tCWL >= dataBusFreeFor(da.rank);
-      case Cmd::REF:
-        // All banks precharged and past their tRP before REF.
-        if (!allBanksClosed(rs))
-            return false;
-        for (const BankState &b : rs.banks) {
-            if (now < b.nextAct)
-                return false;
-        }
-        return true;
-    }
-    return false;
-}
-
-std::uint64_t
-DramDevice::earliestIssue(Cmd cmd, const DramAddress &da) const
-{
-    // Mirrors canIssue exactly: every check there is a monotone
-    // threshold test `now >= X` (or a state predicate independent of
-    // `now`), so the earliest legal cycle is the max of the
-    // thresholds -- and canIssue(cmd, da, earliestIssue(cmd, da)) is
-    // true whenever the result is not kNever.
-    camo_assert(da.rank < ranks_.size(), "rank out of range");
-    const RankState &rs = ranks_[da.rank];
-    const BankState &bs = bank(da.rank, da.bank);
-    std::uint64_t at = cmdBusFreeAt_;
-
-    switch (cmd) {
-      case Cmd::ACT: {
-        if (bs.open)
-            return kNever;
-        at = std::max(at, bs.nextAct);
-        if (rs.actWindow.size() >= 4)
-            at = std::max(at, rs.actWindow.front() + timing_.tFAW);
-        if (!rs.actWindow.empty())
-            at = std::max(at, rs.actWindow.back() + timing_.tRRD);
-        return at;
-      }
-      case Cmd::PRE:
-        return bs.open ? std::max(at, bs.nextPre) : kNever;
-      case Cmd::RD: {
-        if (!isRowHit(da))
-            return kNever;
-        at = std::max({at, bs.nextRead, rs.nextRead});
-        const std::uint64_t bus = dataBusFreeFor(da.rank);
-        if (bus > timing_.tCL)
-            at = std::max(at, bus - timing_.tCL);
-        return at;
-      }
-      case Cmd::WR: {
-        if (!isRowHit(da))
-            return kNever;
-        at = std::max({at, bs.nextWrite, rs.nextWrite});
-        const std::uint64_t bus = dataBusFreeFor(da.rank);
-        if (bus > timing_.tCWL)
-            at = std::max(at, bus - timing_.tCWL);
-        return at;
-      }
-      case Cmd::REF: {
-        if (!allBanksClosed(rs))
-            return kNever;
-        for (const BankState &b : rs.banks)
-            at = std::max(at, b.nextAct);
-        return at;
-      }
-    }
-    return kNever;
 }
 
 IssueResult

@@ -13,11 +13,19 @@
  * answers "can this command issue now?" and executes it. This is the
  * same split DRAMSim2 uses between its command queue and its device
  * timing checker.
+ *
+ * The read-only queries the controller's schedulers call on every
+ * scan (bank, isRowHit, isRowOpen, canIssue, earliestIssue) are
+ * defined inline below the class so the scans see their bodies; each
+ * still bounds-checks its rank and bank, with the panic kept out of
+ * line. issue() changes state, runs a few times per hundred cycles,
+ * and stays in device.cc.
  */
 
 #ifndef CAMO_DRAM_DEVICE_H
 #define CAMO_DRAM_DEVICE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -187,7 +195,11 @@ class DramDevice final
     };
 
     BankState &bankMut(std::uint32_t rank, std::uint32_t b);
-    bool allBanksClosed(const RankState &rs) const;
+    static bool allBanksClosed(const RankState &rs);
+
+    /** Cold path of bank()'s bounds check. */
+    [[noreturn]] static void bankIndexOutOfRange(std::uint32_t rank,
+                                                 std::uint32_t b);
 
     /** Data-bus availability for a burst from `rank` (adds tRTRS when
      *  the previous burst came from another rank). */
@@ -205,6 +217,150 @@ class DramDevice final
     CommandObserver *observer_ = nullptr;
     Cycle cpuNow_ = 0;
 };
+
+inline const BankState &
+DramDevice::bank(std::uint32_t rank, std::uint32_t b) const
+{
+    if (rank >= ranks_.size() || b >= ranks_[rank].banks.size())
+        [[unlikely]] bankIndexOutOfRange(rank, b);
+    return ranks_[rank].banks[b];
+}
+
+inline BankState &
+DramDevice::bankMut(std::uint32_t rank, std::uint32_t b)
+{
+    return const_cast<BankState &>(bank(rank, b));
+}
+
+inline bool
+DramDevice::isRowHit(const DramAddress &da) const
+{
+    const BankState &bs = bank(da.rank, da.bank);
+    return bs.open && bs.openRow == da.row;
+}
+
+inline bool
+DramDevice::isRowOpen(const DramAddress &da) const
+{
+    return bank(da.rank, da.bank).open;
+}
+
+inline bool
+DramDevice::allBanksClosed(const RankState &rs)
+{
+    return std::none_of(rs.banks.begin(), rs.banks.end(),
+                        [](const BankState &b) { return b.open; });
+}
+
+inline std::uint64_t
+DramDevice::dataBusFreeFor(std::uint32_t rank) const
+{
+    return rank == lastDataRank_ ? dataBusFreeAt_
+                                 : dataBusFreeAt_ + timing_.tRTRS;
+}
+
+inline bool
+DramDevice::canIssue(Cmd cmd, const DramAddress &da, std::uint64_t now) const
+{
+    const BankState &bs = bank(da.rank, da.bank);
+    if (now < cmdBusFreeAt_)
+        return false;
+    const RankState &rs = ranks_[da.rank];
+
+    switch (cmd) {
+      case Cmd::ACT: {
+        if (bs.open || now < bs.nextAct)
+            return false;
+        // tFAW: at most 4 ACTs per rank in any tFAW window.
+        if (rs.actWindow.size() >= 4 &&
+            now < rs.actWindow.front() + timing_.tFAW) {
+            return false;
+        }
+        // tRRD against the most recent ACT on this rank.
+        if (!rs.actWindow.empty() &&
+            now < rs.actWindow.back() + timing_.tRRD) {
+            return false;
+        }
+        return true;
+      }
+      case Cmd::PRE:
+        return bs.open && now >= bs.nextPre;
+      case Cmd::RD:
+        if (!isRowHit(da) || now < bs.nextRead || now < rs.nextRead)
+            return false;
+        // Data burst must not overlap the previous one on the bus
+        // (plus tRTRS when switching ranks).
+        return now + timing_.tCL >= dataBusFreeFor(da.rank);
+      case Cmd::WR:
+        if (!isRowHit(da) || now < bs.nextWrite || now < rs.nextWrite)
+            return false;
+        return now + timing_.tCWL >= dataBusFreeFor(da.rank);
+      case Cmd::REF:
+        // All banks precharged and past their tRP before REF.
+        if (!allBanksClosed(rs))
+            return false;
+        for (const BankState &b : rs.banks) {
+            if (now < b.nextAct)
+                return false;
+        }
+        return true;
+    }
+    return false;
+}
+
+inline std::uint64_t
+DramDevice::earliestIssue(Cmd cmd, const DramAddress &da) const
+{
+    // Mirrors canIssue exactly: every check there is a monotone
+    // threshold test `now >= X` (or a state predicate independent of
+    // `now`), so the earliest legal cycle is the max of the
+    // thresholds -- and canIssue(cmd, da, earliestIssue(cmd, da)) is
+    // true whenever the result is not kNever.
+    const BankState &bs = bank(da.rank, da.bank);
+    const RankState &rs = ranks_[da.rank];
+    std::uint64_t at = cmdBusFreeAt_;
+
+    switch (cmd) {
+      case Cmd::ACT: {
+        if (bs.open)
+            return kNever;
+        at = std::max(at, bs.nextAct);
+        if (rs.actWindow.size() >= 4)
+            at = std::max(at, rs.actWindow.front() + timing_.tFAW);
+        if (!rs.actWindow.empty())
+            at = std::max(at, rs.actWindow.back() + timing_.tRRD);
+        return at;
+      }
+      case Cmd::PRE:
+        return bs.open ? std::max(at, bs.nextPre) : kNever;
+      case Cmd::RD: {
+        if (!isRowHit(da))
+            return kNever;
+        at = std::max({at, bs.nextRead, rs.nextRead});
+        const std::uint64_t bus = dataBusFreeFor(da.rank);
+        if (bus > timing_.tCL)
+            at = std::max(at, bus - timing_.tCL);
+        return at;
+      }
+      case Cmd::WR: {
+        if (!isRowHit(da))
+            return kNever;
+        at = std::max({at, bs.nextWrite, rs.nextWrite});
+        const std::uint64_t bus = dataBusFreeFor(da.rank);
+        if (bus > timing_.tCWL)
+            at = std::max(at, bus - timing_.tCWL);
+        return at;
+      }
+      case Cmd::REF: {
+        if (!allBanksClosed(rs))
+            return kNever;
+        for (const BankState &b : rs.banks)
+            at = std::max(at, b.nextAct);
+        return at;
+      }
+    }
+    return kNever;
+}
 
 } // namespace camo::dram
 

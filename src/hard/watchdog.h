@@ -4,9 +4,8 @@
  *
  * The System polls the watchdog with per-core progress counters
  * (instructions retired + responses served) and a pending-work flag,
- * plus the next cycle anything can happen at: the event kernel passes
- * its calendar's next due cycle, the per-cycle oracle the component
- * graph's nextEventCycle() fold. The watchdog fires when
+ * plus the next cycle anything can happen at (the component graph's
+ * nextEventCycle() fold, in both run loops). The watchdog fires when
  *
  *  - a core with pending work has made no progress for a full
  *    window of cycles (a wedged shaper, a starved credit engine), or
@@ -57,6 +56,11 @@ class Watchdog
     /** Cheap pre-check: is a full poll due at `now`? Both run loops
      *  ask after every cycle they process. */
     bool due(Cycle now) const { return now >= nextPoll_; }
+
+    /** First cycle at which due() turns true. The event kernel
+     *  schedules it like a component wake, so both loops poll at the
+     *  same cycles. */
+    Cycle nextPoll() const { return nextPoll_; }
 
     /**
      * Evaluate forward progress. `next_event` is the next cycle any

@@ -634,7 +634,7 @@ System::onShaperViolation(std::uint32_t core, const std::string &msg)
 
 
 void
-System::pollWatchdog(Cycle next_event)
+System::pollWatchdog()
 {
     obs::Profiler::Scope scope(prof_, prof_ ? profWatchdogNode_ : 0);
     std::vector<hard::CoreProgress> progress;
@@ -649,8 +649,11 @@ System::pollWatchdog(Cycle next_event)
                      (ps && ps->queueDepth());
         progress.push_back(cp);
     }
-    if (const auto reason =
-            watchdog_->poll(now_, progress, next_event)) {
+    // The graph's bound fold, not the calendar minimum: the calendar
+    // may hold spurious wakes that would hide a deadlock. The fold is
+    // the expensive part of a poll, so callers poll only when due.
+    if (const auto reason = watchdog_->poll(
+            now_, progress, graph_.nextEventCycle(now_ + 1))) {
         stats_.inc("hard.watchdog_fired");
         syncForDiagnostic();
         const std::string dump = diagnosticJson(*reason).dump(2);
@@ -745,11 +748,9 @@ System::runLoop(Cycle cycles)
         while (now_ < end) {
             ++now_;
             for (std::size_t i = 0; i < n; ++i)
-                tickComponent(i, now_);
-            // The graph's bound fold is the expensive part of a poll,
-            // so it runs only when one is due.
+                tickComponent(i, now_, false);
             if (watchdog_ && watchdog_->due(now_))
-                pollWatchdog(graph_.nextEventCycle(now_ + 1));
+                pollWatchdog();
         }
         return;
     }
@@ -769,20 +770,23 @@ System::runLoop(Cycle cycles)
         }
     } guard{this};
     while (now_ < end) {
-        const Cycle next = sched_.nextDueCycle();
-        if (next == kNoCycle) {
-            // No component reports any future event. With pending work
-            // this is a hard deadlock the clock jump would otherwise
-            // silently skip to end-of-run — let the watchdog decide.
-            if (watchdog_)
-                pollWatchdog(kNoCycle);
+        // The watchdog's next poll is an event too, so it samples
+        // progress at the cycles the oracle polls at. With no
+        // watchdog and an empty calendar the run ends here; with
+        // pending work that is a hard deadlock, which an armed
+        // watchdog reports at its next poll.
+        const Cycle due = sched_.nextDueCycle();
+        const Cycle poll = watchdog_
+                               ? std::max(watchdog_->nextPoll(), now_ + 1)
+                               : kNoCycle;
+        if (std::min(due, poll) > end)
             break;
-        }
-        if (next > end)
-            break;
-        processCycle(next);
+        if (due <= poll)
+            processCycle(due);
+        else
+            now_ = poll;
         if (watchdog_ && watchdog_->due(now_))
-            pollWatchdog(sched_.nextDueCycle());
+            pollWatchdog();
     }
     // Settle every component's idle accounting at end-of-run so stats
     // match the per-cycle reference loop bit for bit.
@@ -878,19 +882,21 @@ System::rebuildWakes()
         syncProfiler();
 }
 
-void
-System::tickComponent(std::size_t i, Cycle cycle)
+Cycle
+System::tickComponent(std::size_t i, Cycle cycle, bool rearm)
 {
     Component *c = graph_.order()[i];
     if (!prof_) {
         c->tick(cycle);
-        return;
+        return rearm ? c->nextEventCycle(cycle + 1) : kNoCycle;
     }
     obs::Profiler::Timer t;
     c->tick(cycle);
+    const Cycle nb = rearm ? c->nextEventCycle(cycle + 1) : kNoCycle;
     const std::uint64_t ns = t.elapsedNs();
     prof_->add(profTickNode_, ns);
     prof_->add(profTickIds_[i], ns);
+    return nb;
 }
 
 void
@@ -902,7 +908,6 @@ System::processCycle(Cycle cycle)
     sched_.popDue(cycle, dueScratch_);
     for (const std::uint32_t id : dueScratch_)
         dueBits_[id >> 6] |= 1ULL << (id & 63);
-    const auto &order = graph_.order();
     // Scan the due bitmask in index order = topology order; same-cycle
     // wakes of later components land in the mask and still run this
     // cycle, exactly as the per-cycle loop would tick them.
@@ -914,12 +919,11 @@ System::processCycle(Cycle cycle)
             const std::size_t i = (w << 6) | b;
             procIdx_ = i;
             catchUp(static_cast<std::uint32_t>(i), cycle - 1);
-            tickComponent(i, cycle);
+            const Cycle nb = tickComponent(i, cycle, true);
             lastSync_[i] = cycle;
             // Re-arm with a min-merge: a future self-wake issued
             // during the tick must survive. The clamp to cycle+1
             // guards bound arithmetic on the current cycle.
-            const Cycle nb = order[i]->nextEventCycle(cycle + 1);
             if (nb != kNoCycle)
                 sched_.scheduleAt(static_cast<std::uint32_t>(i),
                                   std::max(nb, cycle + 1));

@@ -380,9 +380,11 @@ class System final : public WakeSink
     void buildTopology(const SystemPlan &plan);
     /** run() body (run() adds the profiler's root scope). */
     void runLoop(Cycle cycles);
-    /** Tick graph component `i` at `cycle`, timed when a profiler is
-     *  attached (the kernel and the oracle share it). */
-    void tickComponent(std::size_t i, Cycle cycle);
+    /** Tick graph component `i` at `cycle`; with `rearm` (the
+     *  kernel) also return its re-arm bound nextEventCycle(cycle + 1),
+     *  else kNoCycle (the oracle). When a profiler is attached, tick
+     *  and bound are one span under tick/<name>. */
+    Cycle tickComponent(std::size_t i, Cycle cycle, bool rearm);
     /** Extend the cached per-component profiler node ids. */
     void syncProfiler();
     void onLeakageAlert(const std::string &msg);
@@ -403,7 +405,9 @@ class System final : public WakeSink
 
     // Hardening internals.
     void onShaperViolation(std::uint32_t core, const std::string &msg);
-    void pollWatchdog(Cycle next_event);
+    /** Poll the watchdog at now_ with the graph's bound fold; both
+     *  loops call it at every cycle watchdog_->due() accepts. */
+    void pollWatchdog();
     /** Contract core `i`'s shapers to their current configurations. */
     void setContracts(std::uint32_t i);
 

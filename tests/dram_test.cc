@@ -403,6 +403,29 @@ TEST_F(DeviceFixture, IllegalIssuePanics)
     EXPECT_DEATH(dev.issue(Cmd::RD, da, 0), "illegal RD");
 }
 
+TEST_F(DeviceFixture, OutOfRangeRankPanicsInEveryQuery)
+{
+    const DramAddress da{0, tableIiOrg().ranksPerChannel, 0, 1, 0};
+    EXPECT_DEATH(dev.isRowHit(da), "bank index out of range: rank=");
+    EXPECT_DEATH(dev.canIssue(Cmd::ACT, da, 0),
+                 "bank index out of range: rank=");
+    EXPECT_DEATH(dev.earliestIssue(Cmd::ACT, da),
+                 "bank index out of range: rank=");
+}
+
+TEST_F(DeviceFixture, OutOfRangeBankPanicsInEveryQuery)
+{
+    const DramAddress da{0, 0, tableIiOrg().banksPerRank, 1, 0};
+    EXPECT_DEATH(dev.isRowHit(da), "bank index out of range: rank=0 bank=");
+    // The check precedes the command-bus test, so it fires even while
+    // the bus is busy.
+    dev.issue(Cmd::ACT, DramAddress{0, 0, 0, 1, 0}, 0);
+    EXPECT_DEATH(dev.canIssue(Cmd::RD, da, 0),
+                 "bank index out of range: rank=0 bank=");
+    EXPECT_DEATH(dev.earliestIssue(Cmd::PRE, da),
+                 "bank index out of range: rank=0 bank=");
+}
+
 /**
  * Property: a random but legality-gated command stream never produces
  * overlapping data bursts and row state stays consistent.

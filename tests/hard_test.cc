@@ -659,6 +659,44 @@ TEST(FaultMatrix, StarvedCreditsAreAnImmediateDeadlock)
     EXPECT_THROW(sys->run(500000), WatchdogTimeout);
 }
 
+TEST(FaultMatrix, WatchdogFiresAtTheSameCycleOnBothLoops)
+{
+    // The kernel schedules the watchdog's next poll as an event and
+    // both loops pass the graph's bound fold, so a wedged shaper and
+    // starved credits are diagnosed at the same cycle with the same
+    // dump under the event kernel and the per-cycle oracle.
+    struct Fired
+    {
+        Cycle at = 0;
+        std::string what;
+        std::string dump;
+        bool operator==(const Fired &) const = default;
+    };
+    auto fire = [](const char *spec, bool kernel) {
+        sim::SystemConfig cfg = twoCoreBdc();
+        cfg.fastForward = kernel;
+        FaultInjector inj(FaultPlan::parse(spec, 9));
+        auto sys = makeHardened(cfg, &inj, false, 100000);
+        try {
+            sys->run(500000);
+        } catch (const WatchdogTimeout &e) {
+            return Fired{sys->now(), e.what(), e.diagnostic()};
+        }
+        return Fired{sys->now(), "no timeout", ""};
+    };
+    for (const char *spec : {"wedge-req:at=60000:core=0",
+                             "starve-credits:at=60000:core=0"}) {
+        SCOPED_TRACE(spec);
+        const Fired oracle = fire(spec, false);
+        EXPECT_LT(oracle.at, 500000u);
+        EXPECT_FALSE(oracle.dump.empty());
+        const Fired kernel = fire(spec, true);
+        EXPECT_EQ(kernel.at, oracle.at);
+        EXPECT_EQ(kernel.what, oracle.what);
+        EXPECT_EQ(kernel.dump, oracle.dump);
+    }
+}
+
 TEST(FaultMatrix, MalformedConfigImageIsRejectedAndSurvived)
 {
     FaultInjector inj(
