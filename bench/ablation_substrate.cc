@@ -14,7 +14,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench/sweep.h"
+#include "src/sim/parallel.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 
@@ -36,7 +36,7 @@ main()
 
     // Every ablation point is an independent runConfig; queue them
     // all, sweep once, print from the in-order results.
-    std::vector<bench::SimJob> jobs;
+    std::vector<sim::SimJob> jobs;
     auto queue = [&](sim::SystemConfig cfg, const char *adv,
                      const char *victim) {
         jobs.push_back({std::move(cfg), sim::adversaryMix(adv, victim),
@@ -71,7 +71,7 @@ main()
         queue(cfg, "libqt", "hmmer"); // 8, 9
     }
 
-    const auto m = bench::sweep(jobs);
+    const auto m = sim::runConfigsParallel(jobs);
     auto tput = [&](std::size_t i) { return m[i].throughput(); };
 
     std::printf("-- address mapping, w(libqt, mcf) --\n");

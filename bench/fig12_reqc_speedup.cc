@@ -16,8 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "bench/sweep.h"
 #include "src/common/stats.h"
+#include "src/sim/parallel.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 #include "src/trace/workloads.h"
@@ -79,7 +79,7 @@ main(int argc, char **argv)
                 "ReqC IPC", "speedup");
     // One CS + one ReqC run per workload, fanned across the pool.
     const auto names = trace::workloadNames();
-    std::vector<bench::SimJob> jobs;
+    std::vector<sim::SimJob> jobs;
     for (const std::string &name : names) {
         sim::SystemConfig cs = sim::paperConfig();
         cs.numCores = 1;
@@ -95,7 +95,7 @@ main(int argc, char **argv)
         rc.fakeTraffic = false;
         jobs.push_back({rc, {name}, kMeasureCycles, kWarmup});
     }
-    const auto metrics = bench::sweep(jobs);
+    const auto metrics = sim::runConfigsParallel(jobs);
 
     std::vector<double> speedups;
     for (std::size_t i = 0; i < names.size(); ++i) {

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/sweep.h"
 #include "src/common/stats.h"
 #include "src/sim/parallel.h"
 #include "src/sim/presets.h"
@@ -73,7 +72,7 @@ main(int argc, char **argv)
         // chains a (serial, live-system) online GA into its measured
         // run, so each adversary's whole chain is one parallel job.
         const auto names = trace::workloadNames();
-        std::vector<bench::SimJob> jobs;
+        std::vector<sim::SimJob> jobs;
         for (const std::string &adv : names) {
             const auto mix = sim::adversaryMix(adv, victim);
             sim::SystemConfig base = sim::paperConfig();
@@ -85,7 +84,7 @@ main(int argc, char **argv)
             fs.mitigation = sim::Mitigation::FS;
             jobs.push_back({fs, mix, kMeasureCycles, kWarmup});
         }
-        const auto static_m = bench::sweep(jobs);
+        const auto static_m = sim::runConfigsParallel(jobs);
         const auto bdc_m = sim::parallelMap(
             names.size(), 0, [&](std::size_t i) {
                 const auto mix = sim::adversaryMix(names[i], victim);

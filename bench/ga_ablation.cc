@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "bench/sweep.h"
+#include "src/sim/parallel.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
 
@@ -88,7 +88,7 @@ main(int argc, char **argv)
     uniform_run.reqBins = uniform;
     uniform_run.respBins = uniform;
 
-    const auto runs = bench::sweep({
+    const auto runs = sim::runConfigsParallel({
         {ga_run, mix, kMeasureCycles, kWarmup},
         {offline_run, mix, kMeasureCycles, kWarmup},
         {desired_run, mix, kMeasureCycles, kWarmup},

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/sweep.h"
 #include "src/camouflage/bin_config.h"
 #include "src/common/logging.h"
 #include "src/obs/benchdiff.h"
@@ -204,7 +203,7 @@ main(int argc, char **argv)
     }
 
     // --- 3. sweep wall-clock, jobs=1 vs jobs=N ------------------
-    std::vector<bench::SimJob> jobs;
+    std::vector<sim::SimJob> jobs;
     for (const char *adv : {"mcf", "libqt", "bzip", "apache"}) {
         for (const auto mit :
              {sim::Mitigation::None, sim::Mitigation::BDC}) {
@@ -217,11 +216,11 @@ main(int argc, char **argv)
     const unsigned fan = sim::defaultJobs();
 
     auto t0 = std::chrono::steady_clock::now();
-    const auto serial = bench::sweep(jobs, 1);
+    const auto serial = sim::runConfigsParallel(jobs, 1);
     const double s_serial = secondsSince(t0);
 
     t0 = std::chrono::steady_clock::now();
-    const auto parallel = bench::sweep(jobs, fan);
+    const auto parallel = sim::runConfigsParallel(jobs, fan);
     const double s_parallel = secondsSince(t0);
 
     for (std::size_t i = 0; i < jobs.size(); ++i) {

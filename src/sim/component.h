@@ -36,12 +36,12 @@ namespace camo::sim {
 
 /**
  * Receives wakeup requests from components (and from wires that have
- * a subscribed consumer). The System's event kernel implements this:
- * it resolves the request against the in-flight cycle (a wake for the
- * cycle currently being processed lands in the due set if the target
- * has not run yet this cycle, or on the next cycle if it has — the
- * same visibility order the topology-ordered tick loop gave) and
- * otherwise forwards to the EventScheduler calendar.
+ * a subscribed consumer). The System's event kernel implements this
+ * as a min-merge into its per-component wake table, resolved against
+ * the in-flight cycle: a wake at or before the cycle being processed
+ * runs this cycle if the target comes later in the tick order, or
+ * next cycle if it comes earlier — the same visibility order the
+ * topology-ordered tick loop gives.
  */
 class WakeSink
 {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -359,11 +358,6 @@ System::setFakeTraffic(bool on)
     }
 }
 
-
-
-
-
-
 void
 System::registerStats(obs::StatRegistry &reg) const
 {
@@ -629,10 +623,6 @@ System::onShaperViolation(std::uint32_t core, const std::string &msg)
     throw hard::InvariantViolation(msg, dump, path);
 }
 
-
-
-
-
 void
 System::pollWatchdog()
 {
@@ -649,7 +639,7 @@ System::pollWatchdog()
                      (ps && ps->queueDepth());
         progress.push_back(cp);
     }
-    // The graph's bound fold, not the calendar minimum: the calendar
+    // The graph's bound fold, not the wake table's minimum: the table
     // may hold spurious wakes that would hide a deadlock. The fold is
     // the expensive part of a poll, so callers poll only when due.
     if (const auto reason = watchdog_->poll(
@@ -754,11 +744,11 @@ System::runLoop(Cycle cycles)
         }
         return;
     }
-    // Event-driven kernel: pop due cycles off the calendar queue and
-    // jump the clock between them. No per-cycle polling, no probe
-    // backoff — components self-schedule and every wake source is a
-    // sound lower bound, so spurious wakes cost host time only while
-    // missed wakes cannot happen.
+    // Event-driven kernel: jump the clock to the wake table's minimum
+    // and tick the components due there. No per-cycle polling —
+    // components self-schedule and every wake source is a sound lower
+    // bound, so spurious wakes cost host time only while missed wakes
+    // cannot happen.
     rebuildWakes();
     struct KernelGuard
     {
@@ -772,10 +762,10 @@ System::runLoop(Cycle cycles)
     while (now_ < end) {
         // The watchdog's next poll is an event too, so it samples
         // progress at the cycles the oracle polls at. With no
-        // watchdog and an empty calendar the run ends here; with
+        // watchdog and every component asleep the run ends here; with
         // pending work that is a hard deadlock, which an armed
         // watchdog reports at its next poll.
-        const Cycle due = sched_.nextDueCycle();
+        const Cycle due = *std::min_element(wake_.begin(), wake_.end());
         const Cycle poll = watchdog_
                                ? std::max(watchdog_->nextPoll(), now_ + 1)
                                : kNoCycle;
@@ -799,23 +789,17 @@ System::wakeAt(std::uint32_t id, Cycle at)
 {
     if (!kernelActive_ || at == kNoCycle)
         return;
-    if (inCycle_ && at <= procCycle_) {
+    if (inCycle_ && at <= now_) {
         // Visibility rule reproducing topology-order semantics of the
         // per-cycle loop: later components in the graph still tick
         // this cycle; earlier ones already ticked, so the state they
         // would have seen materialises next cycle; the in-flight
         // component re-queries its own bound right after its tick.
-        if (id > procIdx_) {
-            dueBits_[id >> 6] |= 1ULL << (id & 63);
-            return;
-        }
-        if (id == procIdx_)
-            return;
-        sched_.scheduleAt(id, procCycle_ + 1);
+        if (id != procIdx_)
+            arm(id, id > procIdx_ ? now_ : now_ + 1);
         return;
     }
-    const Cycle floor = inCycle_ ? procCycle_ + 1 : now_ + 1;
-    sched_.scheduleAt(id, std::max(at, floor));
+    arm(id, std::max(at, now_ + 1));
 }
 
 void
@@ -850,15 +834,15 @@ void
 System::syncForDiagnostic()
 {
     // Bring every component to the state the per-cycle loop would
-    // show at this point of cycle procCycle_: components at or before
+    // show at this point of cycle now_: components at or before
     // procIdx_ have ticked it, later ones have only finished the
     // previous cycle.
     if (!kernelActive_)
         return;
     const auto n = static_cast<std::uint32_t>(lastSync_.size());
     if (inCycle_)
-        catchUpAhead(static_cast<std::uint32_t>(procIdx_) + 1, procCycle_);
-    catchUpAhead(n, inCycle_ ? procCycle_ - 1 : now_);
+        catchUpAhead(static_cast<std::uint32_t>(procIdx_) + 1, now_);
+    catchUpAhead(n, inCycle_ ? now_ - 1 : now_);
 }
 
 void
@@ -867,16 +851,12 @@ System::rebuildWakes()
     const auto &order = graph_.order();
     const std::size_t n = order.size();
     lastSync_.assign(n, now_);
-    dueBits_.assign((n + 63) / 64, 0);
-    sched_.reset(n);
+    wake_.assign(n, kNoCycle);
     kernelActive_ = true;
     inCycle_ = false;
     for (std::size_t i = 0; i < n; ++i) {
         order[i]->attachWakeSink(this, static_cast<std::uint32_t>(i));
-        const Cycle b = order[i]->nextEventCycle(now_ + 1);
-        if (b != kNoCycle)
-            sched_.scheduleAt(static_cast<std::uint32_t>(i),
-                              std::max(b, now_ + 1));
+        arm(i, std::max(order[i]->nextEventCycle(now_ + 1), now_ + 1));
     }
     if (prof_)
         syncProfiler();
@@ -903,31 +883,22 @@ void
 System::processCycle(Cycle cycle)
 {
     now_ = cycle;
-    procCycle_ = cycle;
     inCycle_ = true;
-    sched_.popDue(cycle, dueScratch_);
-    for (const std::uint32_t id : dueScratch_)
-        dueBits_[id >> 6] |= 1ULL << (id & 63);
-    // Scan the due bitmask in index order = topology order; same-cycle
-    // wakes of later components land in the mask and still run this
-    // cycle, exactly as the per-cycle loop would tick them.
-    for (std::size_t w = 0; w < dueBits_.size(); ++w) {
-        while (dueBits_[w] != 0) {
-            const unsigned b =
-                static_cast<unsigned>(std::countr_zero(dueBits_[w]));
-            dueBits_[w] &= dueBits_[w] - 1;
-            const std::size_t i = (w << 6) | b;
-            procIdx_ = i;
-            catchUp(static_cast<std::uint32_t>(i), cycle - 1);
-            const Cycle nb = tickComponent(i, cycle, true);
-            lastSync_[i] = cycle;
-            // Re-arm with a min-merge: a future self-wake issued
-            // during the tick must survive. The clamp to cycle+1
-            // guards bound arithmetic on the current cycle.
-            if (nb != kNoCycle)
-                sched_.scheduleAt(static_cast<std::uint32_t>(i),
-                                  std::max(nb, cycle + 1));
-        }
+    // Scan in index order = topology order; same-cycle wakes of later
+    // components set their entry to this cycle and still run in this
+    // scan, exactly as the per-cycle loop would tick them.
+    for (std::size_t i = 0; i < wake_.size(); ++i) {
+        if (wake_[i] != cycle)
+            continue;
+        wake_[i] = kNoCycle;
+        procIdx_ = i;
+        catchUp(static_cast<std::uint32_t>(i), cycle - 1);
+        const Cycle nb = tickComponent(i, cycle, true);
+        lastSync_[i] = cycle;
+        // Re-arm with a min-merge: a future self-wake issued during
+        // the tick must survive. The clamp to cycle+1 guards bound
+        // arithmetic on the current cycle.
+        arm(i, std::max(nb, cycle + 1));
     }
     inCycle_ = false;
 }

@@ -7,9 +7,10 @@
  * compiled SystemPlan (src/sim/plan.h) and lays them, with the glue
  * stations of src/sim/stations.h, into one ordered ComponentGraph
  * (src/sim/component.h). run() drives that graph on the event kernel:
- * it seeds an EventScheduler calendar from every component's
- * nextEventCycle() bound, pops due batches, jumps the clock between
- * them, and replays skipped idle accounting lazily and bit-exactly.
+ * a wake table holds each component's next cycle, seeded from its
+ * nextEventCycle() bound; the kernel jumps the clock to the table's
+ * minimum, ticks the components due there in topology order, and
+ * replays skipped idle accounting lazily and bit-exactly.
  * README.md has the architecture diagram, DESIGN.md §11 the component
  * contract and §13 the event kernel.
  */
@@ -45,7 +46,6 @@
 #include "src/obs/tracer.h"
 #include "src/security/covert_receiver.h"
 #include "src/sim/component.h"
-#include "src/sim/event_scheduler.h"
 
 namespace camo::sim {
 
@@ -99,12 +99,12 @@ struct SystemConfig
     bool recordTraffic = false;   ///< full traffic event logs
 
     /**
-     * Event-driven execution in run(): the calendar-queue kernel pops
-     * scheduled component wakeups and jumps the clock directly,
-     * batch-applying the per-cycle accounting the skipped ticks would
-     * have produced. Bit-exact with the per-cycle reference loop
-     * (tests pin this); disable to force the plain validation loop
-     * when debugging.
+     * Event-driven execution in run(): the kernel ticks components
+     * only at the cycles in their wake-table entries and jumps the
+     * clock directly between them, batch-applying the per-cycle
+     * accounting the skipped ticks would have produced. Bit-exact
+     * with the per-cycle reference loop (tests pin this); disable to
+     * force the plain validation loop when debugging.
      */
     bool fastForward = true;
 };
@@ -172,12 +172,14 @@ class System final : public WakeSink
 
     /**
      * Schedule component `id` (graph index) to run no later than
-     * `at`. Called by components and subscribed wires; resolves
-     * in-flight cycles with the same visibility order the
-     * topology-ordered tick loop had: a wake at the cycle currently
-     * being processed lands in this cycle's due set when the target
-     * has not run yet, and on the next cycle when it has. No-op
-     * outside an event-driven run.
+     * `at` (a min-merge into the wake table). Called by components
+     * and subscribed wires; resolves in-flight cycles with the same
+     * visibility order the topology-ordered tick loop has: a wake at
+     * or before the cycle being processed runs this cycle when `id`
+     * comes later in the order, and next cycle when it comes
+     * earlier. The component being ticked ignores its own such wake,
+     * since its bound re-arms it after the tick. No-op outside an
+     * event-driven run.
      */
     void wakeAt(std::uint32_t id, Cycle at) override;
     void catchUp(std::uint32_t id, Cycle through) override;
@@ -391,14 +393,21 @@ class System final : public WakeSink
 
     // ----- event kernel internals ----------------------------------
 
-    /** (Re)attach every component to the calendar and seed it from
-     *  the components' nextEventCycle() bounds. Called at every
-     *  event-driven run() entry, so inter-run mutation (oracle runs,
-     *  GA reconfiguration, added components, injected state) needs
-     *  no incremental bookkeeping. */
+    /** (Re)attach every component to the kernel and seed the wake
+     *  table from the components' nextEventCycle() bounds. Called at
+     *  every event-driven run() entry, so inter-run mutation (oracle
+     *  runs, GA reconfiguration, added components, injected state)
+     *  needs no incremental bookkeeping. */
     void rebuildWakes();
     /** Process every component due at `cycle` in topology order. */
     void processCycle(Cycle cycle);
+    /** Min-merge: component `id` runs no later than `at`. */
+    void
+    arm(std::size_t id, Cycle at)
+    {
+        if (at < wake_[id])
+            wake_[id] = at;
+    }
     /** Bring the machine to the exact state the per-cycle loop would
      *  show at the current point (used before diagnostic dumps). */
     void syncForDiagnostic();
@@ -445,18 +454,16 @@ class System final : public WakeSink
     // Valid between rebuildWakes() (event-driven run() entry) and
     // run() exit; oracle runs bypass it and the next run() rebuilds.
 
-    EventScheduler sched_;
+    /** Wake table: the cycle component i next runs, kNoCycle while
+     *  it sleeps. Indexed by graph id, so a scan in ascending id is a
+     *  scan in topology order. */
+    std::vector<Cycle> wake_;
     /** Cycle through which component i is fully accounted (ticked or
      *  idle-skipped). Lazy: non-due components fall behind and are
      *  caught up in one skipIdleCycles() batch on demand. */
     std::vector<Cycle> lastSync_;
-    /** Due set for the cycle in flight (bitmask over graph indices,
-     *  scanned in ascending order = topology order). */
-    std::vector<std::uint64_t> dueBits_;
-    std::vector<std::uint32_t> dueScratch_; ///< popDue working set
     bool kernelActive_ = false; ///< inside an event-driven run()
-    bool inCycle_ = false;      ///< inside processCycle()
-    Cycle procCycle_ = 0;       ///< cycle being processed
+    bool inCycle_ = false;      ///< inside processCycle() (at now_)
     std::size_t procIdx_ = 0;   ///< graph index being ticked
 
     /**

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iterator>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -534,6 +535,19 @@ TEST(Logging, VerboseToggle)
     EXPECT_FALSE(verbose());
     setVerbose(true);
     EXPECT_TRUE(verbose());
+}
+
+TEST(Logging, WarnNamesSourceRelativeToTree)
+{
+    // The location names the file as the tree does, never the
+    // checkout's absolute path, so stderr matches across checkouts.
+    setVerbose(true);
+    ::testing::internal::CaptureStderr();
+    camo_warn("where am I");
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("warn: where am I (tests/common_test.cc:"),
+              std::string::npos)
+        << err;
 }
 
 TEST(LoggingDeathTest, AssertAborts)

@@ -245,6 +245,94 @@ TEST(SyntheticComponent, TickedEveryCycleWithoutFastForward)
     EXPECT_EQ(probe->skipped, 0u);
 }
 
+/**
+ * The kernel's wake rule, pinned through two synthetic components
+ * appended after the machine (so `early` ticks before `late` within
+ * a cycle). Each reports a scripted bound and, at scripted cycles,
+ * wakes itself or its peer.
+ */
+TEST(EventKernel, WakeRuleTickCycles)
+{
+    struct Scripted final : Component
+    {
+        struct Wake
+        {
+            Cycle during; ///< the tick that issues it
+            Component *target;
+            Cycle at;
+        };
+        Scripted(std::string n, std::vector<Cycle> bounds)
+            : Component(std::move(n)), bounds_(std::move(bounds))
+        {
+        }
+        void
+        tick(Cycle now) override
+        {
+            ticks.push_back(now);
+            for (const Wake &w : wakes) {
+                if (w.during == now)
+                    w.target->scheduleAt(w.at);
+            }
+        }
+        Cycle
+        nextEventCycle(Cycle from) const override
+        {
+            for (const Cycle b : bounds_) {
+                if (b >= from)
+                    return b;
+            }
+            return kNoCycle;
+        }
+        std::vector<Wake> wakes;
+        std::vector<Cycle> ticks;
+        std::vector<Cycle> bounds_;
+    };
+
+    SystemConfig cfg = paperConfig();
+    cfg.numCores = 1;
+    System sys(SystemPlan(cfg, {"probe:2000"}));
+    auto *early = static_cast<Scripted *>(&sys.addComponent(
+        std::make_unique<Scripted>(
+            "early", std::vector<Cycle>{100, 150, 300, 310, 400, 700,
+                                        1000, 1100, 1200})));
+    auto *late = static_cast<Scripted *>(&sys.addComponent(
+        std::make_unique<Scripted>("late", std::vector<Cycle>{200})));
+    early->wakes = {
+        // Same-cycle wake of a later id, at and before the cycle:
+        // runs this cycle.
+        {100, late, 100},
+        {150, late, 120},
+        // Self-wakes at or before the cycle are ignored (the bound
+        // re-arms at 310); a future self-wake survives the re-arm.
+        {300, early, 300},
+        {300, early, 250},
+        {310, early, 320},
+        // Min-merge: a later wake never displaces an earlier one,
+        // whichever order they arrive in.
+        {400, late, 500},
+        {400, late, 600},
+        {700, late, 900},
+        {700, late, 800},
+        // kNoCycle is a no-op.
+        {1000, late, kNoCycle},
+        // A same-cycle wake supersedes a pending later one: no tick
+        // is left at 1300.
+        {1100, late, 1300},
+        {1200, late, 1200},
+    };
+    late->wakes = {
+        // Same-cycle wake of an earlier id: runs next cycle.
+        {200, early, 200},
+    };
+    sys.run(2000);
+
+    EXPECT_EQ(early->ticks, (std::vector<Cycle>{100, 150, 201, 300, 310,
+                                                320, 400, 700, 1000, 1100,
+                                                1200}));
+    EXPECT_EQ(late->ticks,
+              (std::vector<Cycle>{100, 150, 200, 500, 800, 1200}));
+}
+
 // -------------------------------------- fast-forward bound soundness
 
 /**
