@@ -55,7 +55,7 @@ makeBins(std::size_t n)
 int
 main()
 {
-    std::printf("%s", sim::tableIiBanner().c_str());
+    std::printf("%s", sim::systemBanner(sim::paperConfig()).c_str());
     std::printf("# Ablation: bin count at a fixed budget of %u "
                 "credits / 10000 cycles.\n"
                 "# mix: w(bzip, apache); ReqC on the apache victims\n\n",

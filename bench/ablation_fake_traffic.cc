@@ -111,7 +111,7 @@ runCase(bool fakes, Cycle period, double budget_scale)
 int
 main()
 {
-    std::printf("%s", sim::tableIiBanner().c_str());
+    std::printf("%s", sim::systemBanner(sim::paperConfig()).c_str());
     std::printf("# Ablation: fake traffic & replenishment window. "
                 "mix: w(bzip, apache); ReqC on victims\n\n");
 

@@ -30,7 +30,7 @@ constexpr Cycle kWarmup = 40000;
 int
 main()
 {
-    std::printf("%s", sim::tableIiBanner().c_str());
+    std::printf("%s", sim::systemBanner(sim::paperConfig()).c_str());
     std::printf("# Substrate ablations (throughput = sum of IPC; mix "
                 "in row labels)\n\n");
 

@@ -32,7 +32,7 @@ main(int argc, char **argv)
     ga_cfg.generations = argc > 1 ? std::atoi(argv[1]) : 6;
     ga_cfg.populationSize = argc > 2 ? std::atoi(argv[2]) : 12;
 
-    std::printf("%s", sim::tableIiBanner().c_str());
+    std::printf("%s", sim::systemBanner(sim::paperConfig()).c_str());
     std::printf("# SIV-C online operation: static vs one-shot GA vs "
                 "adaptive reconfiguration\n");
     const auto mix = sim::adversaryMix("bzip", "apache");

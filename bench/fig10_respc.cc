@@ -101,7 +101,7 @@ runCase(const char *title, const std::string &run_victim,
 int
 main()
 {
-    std::printf("%s", sim::tableIiBanner().c_str());
+    std::printf("%s", sim::systemBanner(sim::paperConfig()).c_str());
     std::printf("# Figure 10: RespC performance (slowdown = "
                 "baseline IPC / shaped IPC; < 1 means speedup)\n");
 

@@ -25,7 +25,7 @@ using namespace camo;
 int
 main()
 {
-    std::printf("%s", sim::tableIiBanner().c_str());
+    std::printf("%s", sim::systemBanner(sim::paperConfig()).c_str());
     std::printf("# Figure 11: shaping arbitrary request distributions "
                 "into DESIRED\n");
 

@@ -65,7 +65,7 @@ main(int argc, char **argv)
 {
     if (argc > 1)
         g_cs_interval = static_cast<Cycle>(std::atol(argv[1]));
-    std::printf("%s", sim::tableIiBanner().c_str());
+    std::printf("%s", sim::systemBanner(sim::paperConfig()).c_str());
     std::printf("# Figure 12: ReqC speedup vs static 1 GB/s rate "
                 "limiter (single program, same average budget)\n");
     const shaper::BinConfig reqc = burstyBudget(10000);

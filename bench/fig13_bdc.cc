@@ -53,7 +53,7 @@ main(int argc, char **argv)
     ga_cfg.generations = argc > 1 ? std::atoi(argv[1]) : 8;
     ga_cfg.populationSize = argc > 2 ? std::atoi(argv[2]) : 14;
 
-    std::printf("%s", sim::tableIiBanner().c_str());
+    std::printf("%s", sim::systemBanner(sim::paperConfig()).c_str());
     std::printf("# Figure 13: program average slowdown vs unprotected "
                 "FR-FCFS (lower is better)\n");
     std::printf("# BDC configured by online GA: %zu generations x %zu "

@@ -132,7 +132,7 @@ runKey(std::uint32_t key)
 int
 main()
 {
-    std::printf("%s", sim::tableIiBanner().c_str());
+    std::printf("%s", sim::systemBanner(sim::paperConfig()).c_str());
     std::printf("# Figures 14/15 + SIV-G: covert channel before/after "
                 "Request Camouflage\n");
     runKey(0x2AAAAAAAu); // Figure 14

@@ -79,7 +79,7 @@ scaledDesired(double scale)
 int
 main()
 {
-    std::printf("%s", sim::tableIiBanner().c_str());
+    std::printf("%s", sim::systemBanner(sim::paperConfig()).c_str());
     std::printf("# Figure 2: security vs performance trade-off space\n");
     std::printf("# mix: w(probe=ADVERSARY, apache=victim); leakage = "
                 "windowed MI(victim requests; ADV latencies), "

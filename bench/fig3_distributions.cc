@@ -55,7 +55,7 @@ observed(sim::Mitigation mit)
 int
 main()
 {
-    std::printf("%s", sim::tableIiBanner().c_str());
+    std::printf("%s", sim::systemBanner(sim::paperConfig()).c_str());
     std::printf("# Figure 3: inter-arrival distributions under each "
                 "scheme (app: omnetpp)\n");
     show("intrinsic (no shaping)", observed(sim::Mitigation::None));

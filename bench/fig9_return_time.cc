@@ -86,7 +86,7 @@ printSeries(const char *label,
 int
 main()
 {
-    std::printf("%s", sim::tableIiBanner().c_str());
+    std::printf("%s", sim::systemBanner(sim::paperConfig()).c_str());
     std::printf("# Figure 9: return-time difference between "
                 "w(%s, astar) and w(%s, mcf)\n", kAdversary, kAdversary);
 

@@ -32,7 +32,7 @@ main(int argc, char **argv)
     ga_cfg.generations = argc > 1 ? std::atoi(argv[1]) : 10;
     ga_cfg.populationSize = argc > 2 ? std::atoi(argv[2]) : 16;
 
-    std::printf("%s", sim::tableIiBanner().c_str());
+    std::printf("%s", sim::systemBanner(sim::paperConfig()).c_str());
     std::printf("# SIV-C: online GA, %zu generations x %zu children, "
                 "20k-cycle epochs, fitness = -avg MISE slowdown\n\n",
                 ga_cfg.generations, ga_cfg.populationSize);

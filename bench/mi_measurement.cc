@@ -102,7 +102,7 @@ measure(sim::Mitigation mit, bool fakes, const Histogram &quantizer,
 int
 main()
 {
-    std::printf("%s", sim::tableIiBanner().c_str());
+    std::printf("%s", sim::systemBanner(sim::paperConfig()).c_str());
     std::printf("# SecIV-B2: mutual information between intrinsic and "
                 "shaped request inter-arrivals\n");
     std::printf("# workload: w(ADVERSARY, bzip); shaper on the bzip "

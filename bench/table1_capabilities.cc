@@ -93,7 +93,7 @@ evaluate(const std::string &name, sim::Mitigation mit,
 int
 main()
 {
-    std::printf("%s", sim::tableIiBanner().c_str());
+    std::printf("%s", sim::systemBanner(sim::paperConfig()).c_str());
     std::printf("# Table I: capability matrix, measured (bits of "
                 "leakage; lower = protected)\n");
     std::printf("# mix: w(probe=ADVERSARY, apache=victims); "

@@ -5,11 +5,8 @@
 
 namespace camo::cache {
 
-CacheHierarchy::CacheHierarchy(CoreId core, const HierarchyConfig &cfg,
-                               Arena *arena)
-    : core_(core), cfg_(cfg), l1_(cfg.l1), l2_(cfg.l2),
-      mshr_(ArenaAllocator<std::pair<const Addr, std::uint32_t>>(arena)),
-      pendingStoreLines_(ArenaAllocator<Addr>(arena))
+CacheHierarchy::CacheHierarchy(CoreId core, const HierarchyConfig &cfg)
+    : core_(core), cfg_(cfg), l1_(cfg.l1), l2_(cfg.l2)
 {
     camo_assert(cfg.l1.lineBytes == cfg.l2.lineBytes,
                 "L1/L2 line sizes must match");

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/cache/cache.h"
-#include "src/common/arena.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
 #include "src/mem/request.h"
@@ -73,10 +72,7 @@ struct HierarchyConfig
 class CacheHierarchy final
 {
   public:
-    /** `arena` (optional) backs the MSHR bookkeeping containers; see
-     *  src/common/arena.h for the lifetime rules. */
-    CacheHierarchy(CoreId core, const HierarchyConfig &cfg,
-                   Arena *arena = nullptr);
+    CacheHierarchy(CoreId core, const HierarchyConfig &cfg);
 
     /**
      * Perform a demand access.
@@ -141,10 +137,10 @@ class CacheHierarchy final
     CacheArray l2_;
     /** Outstanding LLC misses: line address -> number of coalesced
      *  demand accesses waiting on the fill. */
-    ArenaMap<Addr, std::uint32_t> mshr_;
+    std::map<Addr, std::uint32_t> mshr_;
     /** Lines whose outstanding miss was caused by a store
      *  (write-allocate: the fill installs them dirty). */
-    ArenaSet<Addr> pendingStoreLines_;
+    std::set<Addr> pendingStoreLines_;
     std::vector<MemRequest> outgoing_;
     ReqId nextId_ = 1;
     StatGroup stats_;

@@ -8,11 +8,10 @@
 namespace camo::shaper {
 
 RequestShaper::RequestShaper(CoreId core, const RequestShaperConfig &cfg,
-                             std::uint64_t seed, Arena *arena)
+                             std::uint64_t seed)
     : core_(core),
       cfg_(cfg),
       bins_(cfg.bins),
-      queue_(ArenaAllocator<MemRequest>(arena)),
       rng_(seed),
       pre_(cfg.bins.edges),
       post_(cfg.bins.edges)

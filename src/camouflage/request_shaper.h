@@ -19,7 +19,6 @@
 #include "src/camouflage/bin_config.h"
 #include "src/camouflage/bin_shaper.h"
 #include "src/camouflage/monitor.h"
-#include "src/common/arena.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
@@ -82,10 +81,8 @@ struct RequestShaperConfig
 class RequestShaper final
 {
   public:
-    /** `arena` (optional) backs the pending-request queue; see
-     *  src/common/arena.h. */
     RequestShaper(CoreId core, const RequestShaperConfig &cfg,
-                  std::uint64_t seed, Arena *arena = nullptr);
+                  std::uint64_t seed);
 
     bool canAccept() const { return queue_.size() < cfg_.queueCap; }
 
@@ -151,7 +148,7 @@ class RequestShaper final
     CoreId core_;
     RequestShaperConfig cfg_;
     BinShaper bins_;
-    ArenaDeque<MemRequest> queue_;
+    std::deque<MemRequest> queue_;
     Rng rng_;
     ReqId nextFakeId_ = 1;
     Cycle randomHoldUntil_ = kNoCycle; ///< SIV-B4 random slack state

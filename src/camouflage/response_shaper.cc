@@ -7,12 +7,10 @@
 
 namespace camo::shaper {
 
-ResponseShaper::ResponseShaper(CoreId core, const ResponseShaperConfig &cfg,
-                               Arena *arena)
+ResponseShaper::ResponseShaper(CoreId core, const ResponseShaperConfig &cfg)
     : core_(core),
       cfg_(cfg),
       bins_(cfg.bins),
-      queue_(ArenaAllocator<MemRequest>(arena)),
       pre_(cfg.bins.edges),
       post_(cfg.bins.edges)
 {

@@ -22,7 +22,6 @@
 #include "src/camouflage/bin_config.h"
 #include "src/camouflage/bin_shaper.h"
 #include "src/camouflage/monitor.h"
-#include "src/common/arena.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
 #include "src/mem/request.h"
@@ -53,10 +52,7 @@ struct ResponseShaperConfig
 class ResponseShaper final
 {
   public:
-    /** `arena` (optional) backs the buffered-response queue; see
-     *  src/common/arena.h. */
-    ResponseShaper(CoreId core, const ResponseShaperConfig &cfg,
-                   Arena *arena = nullptr);
+    ResponseShaper(CoreId core, const ResponseShaperConfig &cfg);
 
     bool canAccept() const { return queue_.size() < cfg_.queueCap; }
 
@@ -122,7 +118,7 @@ class ResponseShaper final
     CoreId core_;
     ResponseShaperConfig cfg_;
     BinShaper bins_;
-    ArenaDeque<MemRequest> queue_;
+    std::deque<MemRequest> queue_;
     std::uint64_t lastReplenishSeen_ = 0;
     std::uint32_t pendingBoost_ = 0;
     ReqId nextFakeId_ = 1;

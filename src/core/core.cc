@@ -8,12 +8,9 @@
 namespace camo::core {
 
 Core::Core(CoreId id, const CoreConfig &cfg, trace::TraceSource &trace,
-           cache::CacheHierarchy &cache, Arena *arena)
+           cache::CacheHierarchy &cache)
     : sim::Component("core" + std::to_string(id)), id_(id), cfg_(cfg),
-      trace_(trace), cache_(cache),
-      window_(ArenaAllocator<Entry>(arena)),
-      waiting_(ArenaAllocator<
-               std::pair<const Addr, std::vector<std::uint64_t>>>(arena))
+      trace_(trace), cache_(cache)
 {
     camo_assert(cfg_.width >= 1 && cfg_.windowSize >= cfg_.width,
                 "bad core config");

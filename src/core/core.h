@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/cache/hierarchy.h"
-#include "src/common/arena.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
 #include "src/obs/tracer.h"
@@ -42,10 +41,8 @@ struct CoreConfig
 class Core final : public sim::Component
 {
   public:
-    /** `arena` (optional) backs the instruction window and the
-     *  waiting-load table; see src/common/arena.h. */
     Core(CoreId id, const CoreConfig &cfg, trace::TraceSource &trace,
-         cache::CacheHierarchy &cache, Arena *arena = nullptr);
+         cache::CacheHierarchy &cache);
 
     /** Advance one CPU cycle: retire, then dispatch. */
     void tick(Cycle now) override;
@@ -119,10 +116,10 @@ class Core final : public sim::Component
     trace::TraceSource &trace_;
     cache::CacheHierarchy &cache_;
 
-    ArenaDeque<Entry> window_;
+    std::deque<Entry> window_;
     std::uint64_t nextSeq_ = 0;
     /** Loads waiting on an LLC fill: line -> window seq numbers. */
-    ArenaMap<Addr, std::vector<std::uint64_t>> waiting_;
+    std::map<Addr, std::vector<std::uint64_t>> waiting_;
 
     /** Trace decomposition state. */
     std::uint64_t pendingGap_ = 0;

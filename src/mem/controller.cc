@@ -40,15 +40,13 @@ makeScheduler(const ControllerConfig &cfg)
 } // namespace
 
 MemoryController::MemoryController(const ControllerConfig &cfg,
-                                   std::string name, Arena *arena)
+                                   std::string name)
     : name_(std::move(name)),
       cfg_(cfg),
       mapper_(cfg.org, cfg.mapping),
       device_(cfg.org, cfg.timing),
       divider_(cfg.cpuPerDramNum, cfg.cpuPerDramDen),
-      sched_(makeScheduler(cfg)),
-      readQ_(ArenaAllocator<Transaction>(arena)),
-      writeQ_(ArenaAllocator<Transaction>(arena))
+      sched_(makeScheduler(cfg))
 {
     if (cfg_.rowhammer.enabled) {
         rowhammer_ = std::make_unique<dram::RowHammerDefense>(

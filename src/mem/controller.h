@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/arena.h"
 #include "src/common/clock.h"
 #include "src/common/stats.h"
 #include "src/common/types.h"
@@ -124,11 +123,9 @@ struct ControllerConfig
 class MemoryController final
 {
   public:
-    /** `arena` (optional) backs the transaction queues; see
-     *  src/common/arena.h. `name` is the stat path ("mc.ch{c}"). */
+    /** `name` is the stat path ("mc.ch{c}"). */
     explicit MemoryController(const ControllerConfig &cfg,
-                              std::string name = "mc",
-                              Arena *arena = nullptr);
+                              std::string name = "mc");
     ~MemoryController();
 
     /** Is there queue space for another transaction of this type? */
@@ -245,7 +242,7 @@ class MemoryController final
     void dramTick(Cycle cpu_now);
     bool manageRefresh(std::uint64_t dram_now);
     bool closeIdleRows(std::uint64_t dram_now);
-    using TxnQueue = ArenaDeque<Transaction>;
+    using TxnQueue = std::deque<Transaction>;
 
     /**
      * One queue's scheduling pool, kept between DRAM ticks. The pool

@@ -6,7 +6,7 @@
 
 namespace camo::mem {
 
-MemorySystem::MemorySystem(const ControllerConfig &cfg, Arena *arena)
+MemorySystem::MemorySystem(const ControllerConfig &cfg)
     : sim::Component("mem"), mapper_(cfg.org, cfg.mapping)
 {
     camo_assert(cfg.org.channels >= 1, "need at least one channel");
@@ -14,7 +14,7 @@ MemorySystem::MemorySystem(const ControllerConfig &cfg, Arena *arena)
     per_channel.org.channels = 1;
     for (std::uint32_t c = 0; c < cfg.org.channels; ++c) {
         channels_.push_back(std::make_unique<MemoryController>(
-            per_channel, "mc.ch" + std::to_string(c), arena));
+            per_channel, "mc.ch" + std::to_string(c)));
     }
 }
 

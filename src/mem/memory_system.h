@@ -30,11 +30,8 @@ class MemorySystem final : public sim::Component
      *        how many controllers to instantiate (each controller
      *        sees a channels==1 organization and channel-local
      *        addresses).
-     * @param arena optional backing for every channel's transaction
-     *        queues (src/common/arena.h).
      */
-    explicit MemorySystem(const ControllerConfig &cfg,
-                          Arena *arena = nullptr);
+    explicit MemorySystem(const ControllerConfig &cfg);
 
     /** Channel a request address routes to. */
     std::uint32_t channelOf(Addr addr) const;

@@ -1,6 +1,8 @@
 #include "src/sim/presets.h"
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 namespace camo::sim {
 
@@ -44,16 +46,56 @@ adversaryMix(const std::string &adversary, const std::string &victim,
     return mix;
 }
 
+namespace {
+
+/** The core clock one Cycle stands for (src/common/types.h). */
+constexpr std::uint64_t kCoreMHz = 2400;
+
 std::string
-tableIiBanner()
+count(std::uint64_t n, const char *noun)
 {
+    return std::to_string(n) + " " + noun + (n == 1 ? "" : "s");
+}
+
+std::string
+kb(std::uint64_t bytes)
+{
+    return std::to_string(bytes / 1024) + "KB";
+}
+
+/** Everything the banner prints after "# System". */
+std::string
+machine(const SystemConfig &cfg)
+{
+    const mem::ControllerConfig &mc = cfg.mc;
+    // DDR moves two beats per command-clock cycle.
+    const std::uint64_t data_rate =
+        2 * kCoreMHz * mc.cpuPerDramDen / mc.cpuPerDramNum;
     std::ostringstream os;
-    os << "# System (paper Table II): 4 cores, 2.4GHz, 4-wide, "
-          "128-entry window\n"
-       << "# L1 32KB/4-way, L2 128KB/8-way private, 64B lines, 8 MSHRs\n"
-       << "# MC: 32-entry transaction queue; DDR3-1333, 1 channel, "
-          "1 rank, 8 banks, 8KB rows\n";
+    os << ": " << count(cfg.numCores, "core") << ", " << kCoreMHz / 1000.0
+       << "GHz, " << cfg.core.width << "-wide, " << cfg.core.windowSize
+       << "-entry window\n"
+       << "# L1 " << kb(cfg.cache.l1.sizeBytes) << '/' << cfg.cache.l1.ways
+       << "-way, L2 " << kb(cfg.cache.l2.sizeBytes) << '/'
+       << cfg.cache.l2.ways << "-way private, " << cfg.cache.l1.lineBytes
+       << "B lines, " << count(cfg.cache.mshrs, "MSHR") << "\n"
+       << "# MC: " << mc.readQueueDepth << "-entry transaction queue; DDR3-"
+       << data_rate << ", " << count(mc.org.channels, "channel") << ", "
+       << count(mc.org.ranksPerChannel, "rank") << ", "
+       << count(mc.org.banksPerRank, "bank") << ", "
+       << kb(mc.org.rowBufferBytes) << " rows\n";
     return os.str();
+}
+
+} // namespace
+
+std::string
+systemBanner(const SystemConfig &cfg)
+{
+    const std::string body = machine(cfg);
+    return body == machine(paperConfig())
+               ? "# System (paper Table II)" + body
+               : "# System" + body;
 }
 
 } // namespace camo::sim

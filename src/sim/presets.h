@@ -30,8 +30,13 @@ std::vector<std::string> adversaryMix(const std::string &adversary,
                                       const std::string &victim,
                                       std::uint32_t num_cores = 4);
 
-/** Human-readable Table II header printed by every bench. */
-std::string tableIiBanner();
+/**
+ * Human-readable machine header printed above every bench and camosim
+ * run: core count, pipeline, caches, queue depth and DRAM organization,
+ * each read from `cfg`. It names "paper Table II" only when `cfg`
+ * describes that machine.
+ */
+std::string systemBanner(const SystemConfig &cfg);
 
 } // namespace camo::sim
 

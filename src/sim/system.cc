@@ -50,6 +50,8 @@ validateSystemConfig(const SystemConfig &cfg,
 {
     if (cfg.numCores < 1)
         throw hard::ConfigError("numCores must be >= 1, got 0");
+    if (cfg.mc.org.channels < 1)
+        throw hard::ConfigError("channels must be >= 1, got 0");
     if (num_workloads != cfg.numCores) {
         throw hard::ConfigError(
             detail::fmt("expected ", cfg.numCores, " workloads, got ",
@@ -113,8 +115,7 @@ System::buildTopology(const SystemPlan &plan)
     }
 
     tracer_ = std::make_unique<obs::Tracer>();
-    arena_ = std::make_unique<Arena>();
-    mem_ = std::make_unique<mem::MemorySystem>(cfg_.mc, arena_.get());
+    mem_ = std::make_unique<mem::MemorySystem>(cfg_.mc);
     reqChannel_ = std::make_unique<noc::SharedChannel>(
         cfg_.numCores, cfg_.noc, "noc.req",
         obs::EventType::ReqChannelGrant);
@@ -140,11 +141,10 @@ System::buildTopology(const SystemPlan &plan)
         const Addr base = static_cast<Addr>(i) << 40;
         pc->trace =
             plan.compiled(i).instantiate(cfg_.seed * 7919 + i, base);
-        pc->cache = std::make_unique<cache::CacheHierarchy>(
-            i, cfg_.cache, arena_.get());
+        pc->cache =
+            std::make_unique<cache::CacheHierarchy>(i, cfg_.cache);
         pc->core = std::make_unique<core::Core>(i, cfg_.core, *pc->trace,
-                                                *pc->cache,
-                                                arena_.get());
+                                                *pc->cache);
 
         if (wants_req && shaped) {
             shaper::RequestShaperConfig rc;
@@ -165,7 +165,7 @@ System::buildTopology(const SystemPlan &plan)
             rc.fakeWriteFrac = cfg_.fakeWriteFrac;
             rc.fakeAddrBase = base + (1ULL << 39);
             req_shapers[i] = std::make_unique<shaper::RequestShaper>(
-                i, rc, cfg_.seed * 104729 + i, arena_.get());
+                i, rc, cfg_.seed * 104729 + i);
         }
         if (wants_resp && shaped) {
             shaper::ResponseShaperConfig rc;
@@ -173,8 +173,8 @@ System::buildTopology(const SystemPlan &plan)
                           ? cfg_.respBins
                           : cfg_.respBinsPerCore[i];
             rc.generateFakes = cfg_.fakeTraffic;
-            resp_shapers[i] = std::make_unique<shaper::ResponseShaper>(
-                i, rc, arena_.get());
+            resp_shapers[i] =
+                std::make_unique<shaper::ResponseShaper>(i, rc);
         }
         if (cfg_.recordTraffic) {
             pc->intrinsicMon.setLogging(true);
@@ -362,18 +362,6 @@ void
 System::registerStats(obs::StatRegistry &reg) const
 {
     reg.add("system", &stats_);
-    // The registry borrows groups, so refresh the arena mirror from
-    // the live counters at registration time (both summaryJson and
-    // diagnosticJson build a fresh registry right before export).
-    arenaStats_.clear();
-    arenaStats_.inc("alloc_calls", arena_->allocCalls());
-    arenaStats_.inc("free_calls", arena_->freeCalls());
-    arenaStats_.inc("free_list_hits", arena_->freeListHits());
-    arenaStats_.inc("bytes_requested", arena_->bytesRequested());
-    arenaStats_.inc("bytes_reserved", arena_->bytesReserved());
-    arenaStats_.inc("heap_fallbacks", arena_->heapFallbacks());
-    arenaStats_.inc("chunks", arena_->chunkCount());
-    reg.add("system.arena", &arenaStats_);
     // Every component registers its own groups; the registry's JSON
     // view is key-sorted, so the fan-out order is immaterial.
     graph_.registerStats(reg);
@@ -821,6 +809,7 @@ System::catchUp(std::uint32_t i, Cycle through)
     const std::uint64_t ns = t.elapsedNs();
     prof_->add(profSkipNode_, ns);
     prof_->add(profSkipIds_[i], ns);
+    profSkipNs_ += ns;
 }
 
 void
@@ -870,10 +859,15 @@ System::tickComponent(std::size_t i, Cycle cycle, bool rearm)
         c->tick(cycle);
         return rearm ? c->nextEventCycle(cycle + 1) : kNoCycle;
     }
+    // Catch-ups the tick makes of other components are already under
+    // skip/<name>; take them out of this span so no time counts twice.
+    const std::uint64_t skipped_before = profSkipNs_;
     obs::Profiler::Timer t;
     c->tick(cycle);
     const Cycle nb = rearm ? c->nextEventCycle(cycle + 1) : kNoCycle;
-    const std::uint64_t ns = t.elapsedNs();
+    const std::uint64_t span = t.elapsedNs();
+    const std::uint64_t nested = profSkipNs_ - skipped_before;
+    const std::uint64_t ns = span > nested ? span - nested : 0;
     prof_->add(profTickNode_, ns);
     prof_->add(profTickIds_[i], ns);
     return nb;

@@ -26,7 +26,6 @@
 
 #include "src/cache/hierarchy.h"
 #include "src/camouflage/bin_config.h"
-#include "src/common/arena.h"
 #include "src/camouflage/monitor.h"
 #include "src/camouflage/request_shaper.h"
 #include "src/camouflage/response_shaper.h"
@@ -140,7 +139,8 @@ struct PlanOverrides
 };
 
 /** The structural checks SystemPlan and System (after applying
- *  PlanOverrides) run: core count, per-core vector sizes.
+ *  PlanOverrides) run: core and channel counts, per-core vector
+ *  sizes.
  *  @throws hard::ConfigError */
 void validateSystemConfig(const SystemConfig &cfg,
                           std::size_t num_workloads);
@@ -251,14 +251,6 @@ class System final : public WakeSink
 
     const SystemConfig &config() const { return cfg_; }
     const StatGroup &stats() const { return stats_; }
-
-    /**
-     * The bump/pool allocator backing every component's hot-path
-     * containers (src/common/arena.h). Owned by the System; its
-     * counters are exported under "system.arena".
-     */
-    Arena &arena() { return *arena_; }
-    const Arena &arena() const { return *arena_; }
 
     /**
      * The system-wide event tracer. Constructed disabled (near-zero
@@ -385,7 +377,8 @@ class System final : public WakeSink
     /** Tick graph component `i` at `cycle`; with `rearm` (the
      *  kernel) also return its re-arm bound nextEventCycle(cycle + 1),
      *  else kNoCycle (the oracle). When a profiler is attached, tick
-     *  and bound are one span under tick/<name>. */
+     *  and bound are one span under tick/<name>, less the catch-ups
+     *  of other components it makes (those count under skip/). */
     Cycle tickComponent(std::size_t i, Cycle cycle, bool rearm);
     /** Extend the cached per-component profiler node ids. */
     void syncProfiler();
@@ -421,9 +414,6 @@ class System final : public WakeSink
     void setContracts(std::uint32_t i);
 
     SystemConfig cfg_;
-    /** Hot-path allocator; declared before every component owner so
-     *  it outlives the containers drawing from it. */
-    std::unique_ptr<Arena> arena_;
     Cycle now_ = 0;
 
     std::vector<std::unique_ptr<PerCore>> cores_;
@@ -435,9 +425,6 @@ class System final : public WakeSink
     /** Tick-ordered graph over the subsystems + stations above. */
     ComponentGraph graph_;
     StatGroup stats_;
-    /** Refreshed from arena_'s counters inside registerStats() (the
-     *  registry borrows groups; the arena counters are plain ints). */
-    mutable StatGroup arenaStats_;
     std::unique_ptr<obs::Tracer> tracer_;
     std::unique_ptr<obs::LeakMonitor> leakmon_;
 
@@ -449,6 +436,9 @@ class System final : public WakeSink
     obs::Profiler::NodeId profWatchdogNode_ = obs::Profiler::kNoNode;
     std::vector<obs::Profiler::NodeId> profTickIds_;
     std::vector<obs::Profiler::NodeId> profSkipIds_;
+    /** Every skip/ nanosecond added so far; tickComponent subtracts
+     *  the part recorded during its span. */
+    std::uint64_t profSkipNs_ = 0;
 
     // ----- event kernel state --------------------------------------
     // Valid between rebuildWakes() (event-driven run() entry) and

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "src/common/logging.h"
@@ -33,9 +34,19 @@ std::uint64_t
 asU64(const Value &v, const std::string &key)
 {
     const double d = asNumber(v, key);
-    if (d < 0 || d != std::floor(d))
-        fail(key, "must be a non-negative integer");
+    // 2^64 is exact as a double; casting it or more is undefined.
+    if (d < 0 || d != std::floor(d) || d >= 0x1p64)
+        fail(key, "must be a non-negative integer below 2^64");
     return static_cast<std::uint64_t>(d);
+}
+
+std::uint32_t
+asU32(const Value &v, const std::string &key)
+{
+    const std::uint64_t n = asU64(v, key);
+    if (n > std::numeric_limits<std::uint32_t>::max())
+        fail(key, "must be below 2^32");
+    return static_cast<std::uint32_t>(n);
 }
 
 bool
@@ -72,8 +83,7 @@ parseBins(const Value &v, const std::string &key)
             if (!val.isArray())
                 fail(path, "must be an array");
             for (const Value &c : val.asArray()) {
-                bins.credits.push_back(
-                    static_cast<std::uint32_t>(asU64(c, path)));
+                bins.credits.push_back(asU32(c, path));
             }
         } else if (k == "replenish_period") {
             bins.replenishPeriod = asU64(val, path);
@@ -97,10 +107,9 @@ parseRowHammer(const Value &v, dram::RowHammerConfig &rh)
         if (k == "enabled") {
             rh.enabled = asBool(val, path);
         } else if (k == "act_threshold") {
-            const std::uint64_t t = asU64(val, path);
-            if (t < 1)
+            rh.actThreshold = asU32(val, path);
+            if (rh.actThreshold < 1)
                 fail(path, "must be >= 1");
-            rh.actThreshold = static_cast<std::uint32_t>(t);
         } else if (k == "rfm_dram_cycles") {
             const std::uint64_t c = asU64(val, path);
             if (c < 1)
@@ -120,11 +129,11 @@ parseNoc(const Value &v, noc::ChannelConfig &noc)
     for (const auto &[k, val] : v.asObject()) {
         const std::string path = "noc." + k;
         if (k == "latency")
-            noc.latency = static_cast<std::uint32_t>(asU64(val, path));
+            noc.latency = asU32(val, path);
         else if (k == "ingress_cap")
-            noc.ingressCap = static_cast<std::uint32_t>(asU64(val, path));
+            noc.ingressCap = asU32(val, path);
         else if (k == "egress_cap")
-            noc.egressCap = static_cast<std::uint32_t>(asU64(val, path));
+            noc.egressCap = asU32(val, path);
         else
             fail(path, "is not a recognized key");
     }
@@ -162,16 +171,13 @@ topologyFromJson(const Value &doc)
 
     for (const auto &[k, v] : doc.asObject()) {
         if (k == "cores") {
-            const std::uint64_t n = asU64(v, k);
-            if (n < 1)
+            cores = asU32(v, k);
+            if (*cores < 1)
                 fail(k, "must be >= 1");
-            cores = static_cast<std::uint32_t>(n);
         } else if (k == "channels") {
-            const std::uint64_t n = asU64(v, k);
-            if (n < 1)
+            topo.system.mc.org.channels = asU32(v, k);
+            if (topo.system.mc.org.channels < 1)
                 fail(k, "must be >= 1");
-            topo.system.mc.org.channels =
-                static_cast<std::uint32_t>(n);
         } else if (k == "mitigation") {
             const std::string name = asString(v, k);
             const auto m = mitigationFromName(name);

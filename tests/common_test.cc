@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/arena.h"
 #include "src/common/clock.h"
 #include "src/common/histogram.h"
 #include "src/common/logging.h"
@@ -19,89 +18,6 @@
 
 namespace camo {
 namespace {
-
-// -------------------------------------------------------------- Arena
-
-TEST(Arena, BumpAllocatesAndReusesFreedBlocks)
-{
-    Arena arena;
-    void *a = arena.allocate(32, 8);
-    void *b = arena.allocate(32, 8);
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    EXPECT_NE(a, b);
-    EXPECT_EQ(arena.allocCalls(), 2u);
-    EXPECT_EQ(arena.bytesRequested(), 64u);
-    EXPECT_EQ(arena.freeListHits(), 0u);
-
-    // A freed block of the same size class is handed back out.
-    arena.deallocate(a, 32, 8);
-    EXPECT_EQ(arena.freeCalls(), 1u);
-    void *c = arena.allocate(32, 8);
-    EXPECT_EQ(c, a);
-    EXPECT_EQ(arena.freeListHits(), 1u);
-    arena.deallocate(b, 32, 8);
-    arena.deallocate(c, 32, 8);
-}
-
-TEST(Arena, OversizeAndOveralignedRequestsFallBackToHeap)
-{
-    Arena arena;
-    void *big = arena.allocate(Arena::kMaxPooled + 1, 8);
-    ASSERT_NE(big, nullptr);
-    EXPECT_EQ(arena.heapFallbacks(), 1u);
-    arena.deallocate(big, Arena::kMaxPooled + 1, 8);
-
-    void *aligned = arena.allocate(64, 64);
-    ASSERT_NE(aligned, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(aligned) % 64, 0u);
-    EXPECT_EQ(arena.heapFallbacks(), 2u);
-    arena.deallocate(aligned, 64, 64);
-    // Heap-fallback blocks never enter the free lists.
-    EXPECT_EQ(arena.freeListHits(), 0u);
-}
-
-TEST(Arena, GrowsChunksWhenFull)
-{
-    // The smallest legal chunk still holds one max-pooled block.
-    Arena arena(/*chunk_bytes=*/Arena::kMaxPooled);
-    const std::size_t per_chunk = Arena::kMaxPooled / 64;
-    std::vector<void *> blocks;
-    for (std::size_t i = 0; i < per_chunk; ++i)
-        blocks.push_back(arena.allocate(64, 8));
-    EXPECT_EQ(arena.chunkCount(), 1u);
-    blocks.push_back(arena.allocate(64, 8));
-    EXPECT_EQ(arena.chunkCount(), 2u) << "a full chunk opens the next";
-    EXPECT_EQ(arena.bytesReserved(), 2u * Arena::kMaxPooled);
-    // Blocks within a chunk are handed out back to back.
-    EXPECT_EQ(static_cast<unsigned char *>(blocks[1]),
-              static_cast<unsigned char *>(blocks[0]) + 64);
-    for (void *p : blocks)
-        arena.deallocate(p, 64, 8);
-}
-
-TEST(Arena, ContainersAreUsableAndNullArenaDegradesToHeap)
-{
-    Arena arena;
-    {
-        ArenaMap<int, int> m{ArenaAllocator<std::pair<const int, int>>(
-            &arena)};
-        ArenaDeque<int> d{ArenaAllocator<int>(&arena)};
-        for (int i = 0; i < 100; ++i) {
-            m[i] = i * i;
-            d.push_back(i);
-        }
-        EXPECT_EQ(m.at(9), 81);
-        EXPECT_EQ(d.size(), 100u);
-        EXPECT_GT(arena.allocCalls(), 0u);
-    }
-    // All nodes returned before the arena dies.
-    EXPECT_EQ(arena.allocCalls(), arena.freeCalls());
-
-    ArenaMap<int, int> heap_backed; // null arena
-    heap_backed[1] = 2;
-    EXPECT_EQ(heap_backed.at(1), 2);
-}
 
 // ---------------------------------------------------------------- Rng
 

@@ -124,4 +124,22 @@ TEST(ExitCodes, UsageAndConfigAreDistinguished)
     EXPECT_EQ(runCamosim({"--inject=no-such-kind:at=5",
                           "--workloads=mcf,astar"}),
               3);
+    // Core and channel counts are range-checked, not narrowed: 2^32
+    // channels would become 0 and 2^32 + 2 cores would become 2.
+    EXPECT_EQ(runCamosim({"--channels=0", "--cycles=1000"}), 3);
+    EXPECT_EQ(runCamosim({"--channels=4294967296"}), 2);
+    EXPECT_EQ(runCamosim({"--seed=99999999999999999999"}), 2);
+    const std::string huge_channels =
+        ::testing::TempDir() + "/camosim_huge_channels.json";
+    const std::string huge_cores =
+        ::testing::TempDir() + "/camosim_huge_cores.json";
+    {
+        std::ofstream os(huge_channels);
+        os << "{\"channels\": 4294967296, \"workload\": \"astar\"}\n";
+        std::ofstream oc(huge_cores);
+        oc << "{\"cores\": 4294967298, \"workload\": \"astar\"}\n";
+    }
+    EXPECT_EQ(runCamosim({"--config=" + huge_channels, "--cycles=1000"}),
+              3);
+    EXPECT_EQ(runCamosim({"--config=" + huge_cores, "--cycles=1000"}), 3);
 }

@@ -429,6 +429,19 @@ TEST(Topology, RejectsBadDocuments)
                                    "shape_cores": [9]})"),
                  ConfigError);
     EXPECT_THROW(loadTopology("/nonexistent/topo.json"), ConfigError);
+    // Counts that do not fit their 32-bit fields, and integers a
+    // uint64_t cannot hold, are rejected rather than narrowed.
+    EXPECT_THROW(parseTopology(R"({"workload": "astar",
+                                   "channels": 4294967296})"),
+                 ConfigError);
+    EXPECT_THROW(parseTopology(R"({"workload": "astar",
+                                   "cores": 4294967298})"),
+                 ConfigError);
+    EXPECT_THROW(parseTopology(R"({"workload": "astar", "seed": 1e20})"),
+                 ConfigError);
+    EXPECT_THROW(parseTopology(R"({"workload": "astar",
+                                   "noc": {"latency": 4294967296}})"),
+                 ConfigError);
 }
 
 TEST(Topology, EightCoresFourChannelsRunEndToEnd)

@@ -17,9 +17,11 @@
 #include "src/obs/json.h"
 #include "src/obs/prof.h"
 #include "src/obs/registry.h"
+#include "src/sim/component.h"
 #include "src/sim/plan.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
+#include "src/sim/system.h"
 
 using namespace camo;
 
@@ -141,6 +143,56 @@ TEST(Profiler, PhasesCoverWallTimeOfRun)
     EXPECT_LE(self_sum, prof.totalNs());
     EXPECT_GE(self_sum * 100, prof.totalNs() * 95)
         << "derived self times lose more than 5% of the total";
+}
+
+TEST(Profiler, NestedCatchUpCountsOnlyUnderSkip)
+{
+    // `slow` never ticks; its one catch-up spins ~2 ms and is made
+    // from inside `caller`'s tick at cycle 100, the run's last cycle.
+    struct Slow final : sim::Component
+    {
+        Slow() : Component("slow") {}
+        Cycle nextEventCycle(Cycle) const override { return kNoCycle; }
+        void
+        skipIdleCycles(Cycle) override
+        {
+            const obs::Profiler::Timer spin;
+            while (spin.elapsedNs() < 2'000'000) {
+            }
+        }
+    };
+    struct Caller final : sim::Component
+    {
+        explicit Caller(sim::Component &peer)
+            : Component("caller"), peer_(peer)
+        {
+        }
+        Cycle
+        nextEventCycle(Cycle from) const override
+        {
+            return from <= 100 ? 100 : kNoCycle;
+        }
+        void tick(Cycle now) override { peer_.catchUp(now); }
+        sim::Component &peer_;
+    };
+
+    sim::SystemConfig cfg = sim::paperConfig();
+    cfg.numCores = 1;
+    sim::System system(sim::SystemPlan(cfg, {"probe:2000"}));
+    sim::Component &slow = system.addComponent(std::make_unique<Slow>());
+    system.addComponent(std::make_unique<Caller>(slow));
+    obs::Profiler prof;
+    system.setProfiler(&prof);
+    system.run(100);
+
+    const auto node = [&prof](const char *phase, const char *name) {
+        return prof.node(prof.child(prof.child(prof.root(), phase), name));
+    };
+    ASSERT_EQ(node("skip", "slow").calls, 1u);
+    ASSERT_EQ(node("tick", "caller").calls, 1u);
+    EXPECT_GE(node("skip", "slow").ns, 2'000'000u);
+    EXPECT_LT(node("tick", "caller").ns * 4, node("skip", "slow").ns)
+        << "the nested catch-up is counted under tick/caller too";
 }
 
 TEST(ChromeTrace, ProducesValidJsonWithBalancedAsyncSpans)

@@ -86,6 +86,27 @@ TEST(System, WorkloadCountMustMatchCores)
     EXPECT_THROW(System(SystemPlan(cfg, {"astar"})), hard::ConfigError);
 }
 
+TEST(Presets, BannerDescribesTheConfiguredMachine)
+{
+    // The paper machine's banner is the text every bench prints.
+    EXPECT_EQ(systemBanner(paperConfig()),
+              "# System (paper Table II): 4 cores, 2.4GHz, 4-wide, "
+              "128-entry window\n"
+              "# L1 32KB/4-way, L2 128KB/8-way private, 64B lines, "
+              "8 MSHRs\n"
+              "# MC: 32-entry transaction queue; DDR3-1333, 1 channel, "
+              "1 rank, 8 banks, 8KB rows\n");
+
+    SystemConfig cfg = paperConfig();
+    cfg.numCores = 8;
+    cfg.mc.org.channels = 4;
+    const std::string banner = systemBanner(cfg);
+    EXPECT_EQ(banner.rfind("# System: 8 cores, ", 0), 0u) << banner;
+    EXPECT_NE(banner.find("DDR3-1333, 4 channels, 1 rank,"),
+              std::string::npos)
+        << banner;
+}
+
 // ------------------------------------------------------- determinism
 
 TEST(System, DeterministicForEqualSeeds)

@@ -30,6 +30,7 @@
  * alert.
  */
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -148,6 +149,7 @@ std::uint64_t
 parseU64Flag(const std::string &flag, const std::string &value)
 {
     char *end = nullptr;
+    errno = 0;
     const unsigned long long v =
         std::strtoull(value.c_str(), &end, 10);
     if (value.empty() || end == value.c_str() || *end != '\0' ||
@@ -155,7 +157,20 @@ parseU64Flag(const std::string &flag, const std::string &value)
         throw UsageError(flag + "=" + value +
                          " is not an unsigned integer");
     }
+    if (errno == ERANGE)
+        throw UsageError(flag + "=" + value + " is out of range");
     return v;
+}
+
+/** parseU64Flag for a 32-bit field: larger values are out of range
+ *  rather than truncated. */
+std::uint32_t
+parseU32Flag(const std::string &flag, const std::string &value)
+{
+    const std::uint64_t v = parseU64Flag(flag, value);
+    if (v > std::numeric_limits<std::uint32_t>::max())
+        throw UsageError(flag + "=" + value + " is out of range");
+    return static_cast<std::uint32_t>(v);
 }
 
 /** Strict full-string non-negative double parse. */
@@ -293,8 +308,7 @@ flagTable()
          }},
         {"channels", A::Value, "N", "DRAM channels (default 1)",
          [](Options &o, const std::string &v) {
-             o.channels = static_cast<std::uint32_t>(
-                 parseU64Flag("--channels", v));
+             o.channels = parseU32Flag("--channels", v);
          }},
         {"no-fakes", A::Bare, "", "disable fake traffic generation",
          [](Options &o, const std::string &) { o.fakeTraffic = false; }},
@@ -342,14 +356,13 @@ flagTable()
          "worker threads for parallel phases\n(default: CAMO_JOBS env "
          "or core count)",
          [](Options &o, const std::string &v) {
-             o.jobs = static_cast<unsigned>(parseU64Flag("--jobs", v));
+             o.jobs = parseU32Flag("--jobs", v);
          }},
         {"sweep-seeds", A::Value, "K",
          "run seeds seed..seed+K-1 in parallel\nand print one row per "
          "seed",
          [](Options &o, const std::string &v) {
-             o.sweepSeeds = static_cast<std::uint32_t>(
-                 parseU64Flag("--sweep-seeds", v));
+             o.sweepSeeds = parseU32Flag("--sweep-seeds", v);
          }},
         {"no-fast-forward", A::Bare, "",
          "force the per-cycle loop (debugging;\nresults are identical "
@@ -708,7 +721,7 @@ runCamosim(const Options &opt)
                             runs[k].throughput());
             return kExitOk;
         }
-        std::printf("%s", sim::tableIiBanner().c_str());
+        std::printf("%s", sim::systemBanner(cfg).c_str());
         std::printf("# mitigation: %s, %u seeds from %llu, %llu cycles "
                     "(+%llu warmup)\n\n",
                     sim::mitigationName(opt.mitigation), opt.sweepSeeds,
@@ -859,7 +872,7 @@ runCamosim(const Options &opt)
         return kExitOk;
     }
 
-    std::printf("%s", sim::tableIiBanner().c_str());
+    std::printf("%s", sim::systemBanner(cfg).c_str());
     std::printf("# mitigation: %s, %llu cycles (+%llu warmup), "
                 "seed %llu\n\n",
                 sim::mitigationName(opt.mitigation),
