@@ -19,13 +19,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/camouflage/bin_config.h"
 #include "src/common/logging.h"
+#include "src/common/parse.h"
 #include "src/obs/benchdiff.h"
 #include "src/obs/json.h"
 #include "src/sim/parallel.h"
@@ -60,8 +60,10 @@ main(int argc, char **argv)
 {
     const std::string out_path =
         argc > 1 ? argv[1] : "BENCH_ticks.json";
-    const Cycle cycles =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 400000;
+    const auto cycles_arg = argc > 2 ? parseUnsigned(argv[2]) : Cycle{400000};
+    if (!cycles_arg)
+        camo_fatal("usage: bench_perf_report [OUT.json] [CYCLES]");
+    const Cycle cycles = *cycles_arg;
 
     obs::json::Value root = obs::json::Value::makeObject();
     root["schema_version"] =

@@ -28,11 +28,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
 #include "src/common/logging.h"
+#include "src/common/parse.h"
 #include "src/obs/benchdiff.h"
 #include "src/obs/json.h"
 #include "src/scenario/scenario.h"
@@ -75,8 +75,10 @@ main(int argc, char **argv)
 {
     const std::string out_path =
         argc > 1 ? argv[1] : "BENCH_scenarios.json";
-    const Cycle cycles =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 0;
+    const auto cycles_arg = argc > 2 ? parseUnsigned(argv[2]) : Cycle{0};
+    if (!cycles_arg)
+        camo_fatal("usage: bench_scenarios [OUT.json] [CYCLES]");
+    const Cycle cycles = *cycles_arg;
 
     obs::json::Value root = obs::json::Value::makeObject();
     root["schema_version"] =

@@ -43,6 +43,7 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -58,6 +59,7 @@
 #include <unistd.h>
 
 #include "src/common/logging.h"
+#include "src/common/parse.h"
 #include "src/obs/benchdiff.h"
 #include "src/obs/json.h"
 #include "src/server/client.h"
@@ -433,8 +435,7 @@ settle(server::Client &client, std::uint64_t id,
     }
     if (plan.mix == Mix::Plain && tally.plainResult.empty() &&
         plan.spec.config.find("seed") &&
-        static_cast<std::uint64_t>(
-            plan.spec.config.find("seed")->asNumber()) == 7) {
+        obs::json::toUnsigned(*plan.spec.config.find("seed")) == 7u) {
         if (const obs::json::Value *r = resp->find("result"))
             tally.plainResult = r->asString();
     }
@@ -564,20 +565,22 @@ main(int argc, char **argv)
             eq == std::string::npos ? arg : arg.substr(0, eq);
         const std::string value =
             eq == std::string::npos ? "" : arg.substr(eq + 1);
+        const auto n = parseUnsigned(
+            value, name == "--threads" || name == "--workers"
+                       ? std::numeric_limits<unsigned>::max()
+                       : std::numeric_limits<std::uint64_t>::max());
         if (name == "--short") {
             opt.jobs = 400;
             opt.cycles = 40000;
             opt.warmup = 2000;
-        } else if (name == "--jobs") {
-            opt.jobs = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (name == "--cycles") {
-            opt.cycles = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (name == "--threads") {
-            opt.threads = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 10));
-        } else if (name == "--workers") {
-            opt.workers = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 10));
+        } else if (name == "--jobs" && n) {
+            opt.jobs = *n;
+        } else if (name == "--cycles" && n) {
+            opt.cycles = *n;
+        } else if (name == "--threads" && n) {
+            opt.threads = static_cast<unsigned>(*n);
+        } else if (name == "--workers" && n) {
+            opt.workers = static_cast<unsigned>(*n);
         } else if (name == "--inject") {
             opt.inject = true;
         } else if (name == "--no-inject") {
@@ -585,7 +588,8 @@ main(int argc, char **argv)
         } else if (name == "--out") {
             opt.out = value;
         } else {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+            std::fprintf(stderr, "unknown option or bad value %s\n",
+                         arg.c_str());
             return 2;
         }
     }
@@ -822,22 +826,19 @@ main(int argc, char **argv)
     {
         const auto resp = client.stats();
         camo_assert(resp, "stats request failed after soak");
-        if (const auto *v = statsField(*resp, "submitted"))
-            submitted = static_cast<std::uint64_t>(v->asNumber());
-        if (const auto *v = statsField(*resp, "reloads"))
-            reloads = static_cast<std::uint64_t>(v->asNumber());
-        if (const auto *v = statsField(*resp, "retries"))
-            retries = static_cast<std::uint64_t>(v->asNumber());
-        if (const auto *v = statsField(*resp, "cache_hits"))
-            cacheHits = static_cast<std::uint64_t>(v->asNumber());
-        if (const auto *v = statsField(*resp, "joined"))
-            joined = static_cast<std::uint64_t>(v->asNumber());
-        if (const auto *v = statsField(*resp, "shed"))
-            shed = static_cast<std::uint64_t>(v->asNumber());
+        const auto count = [&resp](const char *name) {
+            const auto *v = statsField(*resp, name);
+            return v ? obs::json::toUnsigned(*v).value_or(0) : 0;
+        };
+        submitted = count("submitted");
+        reloads = count("reloads");
+        retries = count("retries");
+        cacheHits = count("cache_hits");
+        joined = count("joined");
+        shed = count("shed");
         if (const auto *v = statsField(*resp, "terminal")) {
             for (const auto &[name, n] : v->asObject())
-                terminalSum +=
-                    static_cast<std::uint64_t>(n.asNumber());
+                terminalSum += obs::json::toUnsigned(n).value_or(0);
         }
         if (const auto *v = statsField(*resp, "latency_ms")) {
             if (const auto *p = v->find("p99"))

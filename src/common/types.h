@@ -23,6 +23,10 @@ using CoreId = std::uint32_t;
 /** Monotonically increasing identifier for memory transactions. */
 using ReqId = std::uint64_t;
 
+/** Most cores a machine may have: a ReqId carries its core in the
+ *  top 16 bits (core << 48), so core 65536 would reuse core 0's ids. */
+inline constexpr CoreId kMaxCores = CoreId{1} << 16;
+
 /** Sentinel for "no cycle" / "not yet happened". */
 inline constexpr Cycle kNoCycle = std::numeric_limits<Cycle>::max();
 

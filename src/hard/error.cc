@@ -15,4 +15,17 @@ errorKindName(ErrorKind kind)
     return "?";
 }
 
+int
+exitCode(ErrorKind kind)
+{
+    switch (kind) {
+      case ErrorKind::Config: return 3;
+      case ErrorKind::Invariant: return 4;
+      case ErrorKind::Watchdog: return 5;
+      case ErrorKind::Leakage: return 6;
+      case ErrorKind::Transient: return kExitRuntime;
+    }
+    return kExitRuntime;
+}
+
 } // namespace camo::hard

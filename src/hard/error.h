@@ -19,8 +19,15 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace camo::hard {
+
+/** Exit codes shared by camosim and the daemon's job payloads that
+ *  no ErrorKind maps to; see exitCode() for the rest. */
+inline constexpr int kExitOk = 0;
+inline constexpr int kExitRuntime = 1;
+inline constexpr int kExitUsage = 2;
 
 /** Coarse classification, also the basis of camosim's exit codes. */
 enum class ErrorKind
@@ -34,19 +41,37 @@ enum class ErrorKind
 
 const char *errorKindName(ErrorKind kind);
 
-/** Base of every recoverable simulator error. */
+/** The one exit-code table: config 3, invariant 4, watchdog 5,
+ *  leakage 6; a transient fault that escapes its retries is a
+ *  runtime failure (kExitRuntime). */
+int exitCode(ErrorKind kind);
+
+/**
+ * Base of every recoverable simulator error. `diagnostic()` optionally
+ * carries the structured dump (stats tree + trace tail + queue
+ * occupancy) captured at the point of failure; `dumpPath()` names the
+ * uniquely-named dump file when the System was given a diagnostic
+ * directory (empty otherwise).
+ */
 class CamoError : public std::runtime_error
 {
   public:
-    CamoError(ErrorKind kind, const std::string &msg)
-        : std::runtime_error(msg), kind_(kind)
+    CamoError(ErrorKind kind, const std::string &msg,
+              std::string diagnostic = {}, std::string dump_path = {})
+        : std::runtime_error(msg), kind_(kind),
+          diagnostic_(std::move(diagnostic)),
+          dumpPath_(std::move(dump_path))
     {
     }
 
     ErrorKind kind() const { return kind_; }
+    const std::string &diagnostic() const { return diagnostic_; }
+    const std::string &dumpPath() const { return dumpPath_; }
 
   private:
     ErrorKind kind_;
+    std::string diagnostic_;
+    std::string dumpPath_;
 };
 
 /** A user-supplied configuration value is invalid. The message names
@@ -60,61 +85,37 @@ class ConfigError : public CamoError
     }
 };
 
-/**
- * A runtime invariant checker fired. `diagnostic()` optionally
- * carries the structured dump (stats tree + trace tail + queue
- * occupancy) captured at the point of failure; `dumpPath()` names
- * the uniquely-named dump file when the System was given a
- * diagnostic directory (empty otherwise).
- */
+/** A runtime invariant checker fired; carries the diagnostic dump. */
 class InvariantViolation : public CamoError
 {
   public:
     explicit InvariantViolation(const std::string &msg,
                                 std::string diagnostic = {},
                                 std::string dump_path = {})
-        : CamoError(ErrorKind::Invariant, msg),
-          diagnostic_(std::move(diagnostic)),
-          dumpPath_(std::move(dump_path))
+        : CamoError(ErrorKind::Invariant, msg, std::move(diagnostic),
+                    std::move(dump_path))
     {
     }
-
-    const std::string &diagnostic() const { return diagnostic_; }
-    const std::string &dumpPath() const { return dumpPath_; }
-
-  private:
-    std::string diagnostic_;
-    std::string dumpPath_;
 };
 
-/** The watchdog detected a no-forward-progress window. `dumpPath()`
- *  names the per-instance dump file when one was written. */
+/** The watchdog detected a no-forward-progress window. */
 class WatchdogTimeout : public CamoError
 {
   public:
     explicit WatchdogTimeout(const std::string &msg,
                              std::string diagnostic = {},
                              std::string dump_path = {})
-        : CamoError(ErrorKind::Watchdog, msg),
-          diagnostic_(std::move(diagnostic)),
-          dumpPath_(std::move(dump_path))
+        : CamoError(ErrorKind::Watchdog, msg, std::move(diagnostic),
+                    std::move(dump_path))
     {
     }
-
-    const std::string &diagnostic() const { return diagnostic_; }
-    const std::string &dumpPath() const { return dumpPath_; }
-
-  private:
-    std::string diagnostic_;
-    std::string dumpPath_;
 };
 
 /**
  * The online leakage monitor (src/obs/leakmon.h) measured windowed
  * mutual information above its configured threshold. Fail-secure:
  * a run that starts leaking stops with a distinct exit code instead
- * of quietly producing results. `diagnostic()` carries the structured
- * dump captured at the alerting cycle.
+ * of quietly producing results.
  */
 class LeakageAlert : public CamoError
 {
@@ -122,18 +123,10 @@ class LeakageAlert : public CamoError
     explicit LeakageAlert(const std::string &msg,
                           std::string diagnostic = {},
                           std::string dump_path = {})
-        : CamoError(ErrorKind::Leakage, msg),
-          diagnostic_(std::move(diagnostic)),
-          dumpPath_(std::move(dump_path))
+        : CamoError(ErrorKind::Leakage, msg, std::move(diagnostic),
+                    std::move(dump_path))
     {
     }
-
-    const std::string &diagnostic() const { return diagnostic_; }
-    const std::string &dumpPath() const { return dumpPath_; }
-
-  private:
-    std::string diagnostic_;
-    std::string dumpPath_;
 };
 
 /** A per-job fault worth retrying with a re-derived seed. */

@@ -1,10 +1,10 @@
 #include "src/hard/fault_injection.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <sstream>
 #include <thread>
 
+#include "src/common/parse.h"
 #include "src/hard/error.h"
 
 namespace camo::hard {
@@ -61,31 +61,21 @@ parseKind(const SpecToken &token)
     throw ConfigError(os.str());
 }
 
+/** An unsigned field value no larger than `max`. The sentinels
+ *  kNoCycle, kNoCore and kAnyIndex are defaults, not values to
+ *  write, so callers pass a `max` below them. */
 std::uint64_t
-parseU64(const std::string &value, const std::string &field,
-         const SpecToken &tok)
+parseField(const std::string &key, const std::string &value,
+           const SpecToken &tok,
+           std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0') {
-        throw ConfigError("fault field " + field + "=" + value +
-                          " is not an unsigned integer (" + where(tok) +
-                          ")");
+    const auto v = parseUnsigned(value, max);
+    if (!v) {
+        throw ConfigError("fault field " + key + "=" + value +
+                          " is not an unsigned integer <= " +
+                          std::to_string(max) + " (" + where(tok) + ")");
     }
-    return v;
-}
-
-double
-parseRate(const std::string &value, const SpecToken &tok)
-{
-    char *end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || v < 0.0 || v > 1.0) {
-        throw ConfigError("fault rate=" + value +
-                          " is not a probability in [0, 1] (" +
-                          where(tok) + ")");
-    }
-    return v;
+    return *v;
 }
 
 /** Split on `sep`, keeping empty tokens (they are spec errors) and
@@ -160,16 +150,22 @@ FaultPlan::parse(const std::string &spec, std::uint64_t seed)
             const std::string key = field.text.substr(0, eq);
             const std::string value = field.text.substr(eq + 1);
             if (key == "rate") {
-                fs.rate = parseRate(value, field);
+                const auto rate = parseReal(value, 0.0, 1.0);
+                if (!rate) {
+                    throw ConfigError("fault rate=" + value +
+                                      " is not a probability in "
+                                      "[0, 1] (" + where(field) + ")");
+                }
+                fs.rate = *rate;
             } else if (key == "at") {
-                fs.at = parseU64(value, key, field);
+                fs.at = parseField(key, value, field, kNoCycle - 1);
             } else if (key == "core") {
-                fs.core =
-                    static_cast<CoreId>(parseU64(value, key, field));
+                fs.core = static_cast<CoreId>(
+                    parseField(key, value, field, kNoCore - 1));
             } else if (key == "param") {
-                fs.param = parseU64(value, key, field);
+                fs.param = parseField(key, value, field);
             } else if (key == "index") {
-                fs.index = parseU64(value, key, field);
+                fs.index = parseField(key, value, field, kAnyIndex - 1);
             } else {
                 throw ConfigError("unknown fault field '" + key +
                                   "' (" + where(field) +

@@ -1,6 +1,7 @@
 #include "src/obs/benchdiff.h"
 
 #include <cstdio>
+#include <limits>
 
 #include "src/common/build_info.h"
 
@@ -80,7 +81,9 @@ int
 schemaVersionOf(const json::Value &doc)
 {
     const json::Value *v = doc.find("schema_version");
-    return v && v->isNumber() ? static_cast<int>(v->asNumber()) : 1;
+    const auto n = v ? json::toUnsigned(*v, std::numeric_limits<int>::max())
+                     : std::nullopt;
+    return static_cast<int>(n.value_or(1));
 }
 
 } // namespace

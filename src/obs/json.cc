@@ -1,5 +1,6 @@
 #include "src/obs/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -387,6 +388,20 @@ parse(const std::string &text)
     auto v = tryParse(text);
     camo_assert(v.has_value(), "malformed JSON document");
     return std::move(*v);
+}
+
+std::optional<std::uint64_t>
+toUnsigned(const Value &v, std::uint64_t max)
+{
+    if (!v.isNumber())
+        return std::nullopt;
+    const double d = v.asNumber();
+    // Compared as doubles: every bound up to kMaxExactInteger is exact.
+    const double limit =
+        static_cast<double>(std::min(max, kMaxExactInteger));
+    if (!(d >= 0.0 && d <= limit) || d != std::floor(d))
+        return std::nullopt;
+    return static_cast<std::uint64_t>(d);
 }
 
 } // namespace camo::obs::json

@@ -98,6 +98,16 @@ class Value
     Object obj_;
 };
 
+/** Largest integer toUnsigned() accepts. Numbers are doubles, and
+ *  2^53 + 1 reads as 2^53, so 2^53 itself is refused too. */
+inline constexpr std::uint64_t kMaxExactInteger = (1ull << 53) - 1;
+
+/** The one definition of a valid integer inside a JSON document: a
+ *  non-negative integral number no larger than `max` (and than
+ *  kMaxExactInteger); nullopt for anything else. */
+std::optional<std::uint64_t>
+toUnsigned(const Value &v, std::uint64_t max = kMaxExactInteger);
+
 /** JSON-escape the characters of `s` (no surrounding quotes). */
 std::string escape(const std::string &s);
 

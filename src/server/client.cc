@@ -90,11 +90,10 @@ Client::submit(const JobSpec &spec, std::string *error)
         return std::nullopt;
     }
     const obs::json::Value *id = resp->find("id");
-    if (!id || !id->isNumber()) {
+    const auto n = id ? obs::json::toUnsigned(*id) : std::nullopt;
+    if (!n)
         *error = "submit response missing id";
-        return std::nullopt;
-    }
-    return static_cast<std::uint64_t>(id->asNumber());
+    return n;
 }
 
 std::optional<obs::json::Value>

@@ -10,10 +10,10 @@ namespace {
 bool
 asU64(const obs::json::Value &v, std::uint64_t *out)
 {
-    if (!v.isNumber() || v.asNumber() < 0)
-        return false;
-    *out = static_cast<std::uint64_t>(v.asNumber());
-    return true;
+    const auto n = obs::json::toUnsigned(v);
+    if (n)
+        *out = *n;
+    return n.has_value();
 }
 
 } // namespace
@@ -80,7 +80,8 @@ JobSpec::fromJson(const obs::json::Value &doc, JobSpec *out,
             return false;
         }
         if (!ok) {
-            *error = "job field '" + key + "' has the wrong type";
+            *error = "job field '" + key +
+                     "' has the wrong type or is out of range";
             return false;
         }
     }

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -269,30 +270,27 @@ Server::handleRequest(int fd, const obs::json::Value &req)
     const auto jobIdOf =
         [&req]() -> std::optional<std::uint64_t> {
         const obs::json::Value *id = req.find("id");
-        if (!id || !id->isNumber() || id->asNumber() < 0)
-            return std::nullopt;
-        return static_cast<std::uint64_t>(id->asNumber());
+        return id ? obs::json::toUnsigned(*id) : std::nullopt;
     };
 
     if (name == "status" || name == "result") {
         const auto id = jobIdOf();
         if (!id)
             return errorResponse(name + " needs a numeric 'id'");
+        std::optional<std::uint64_t> wait_ms = 0;
+        if (const obs::json::Value *w = req.find("wait_ms"))
+            wait_ms = obs::json::toUnsigned(*w);
+        if (!wait_ms)
+            return errorResponse("'wait_ms' must be a non-negative "
+                                 "integer");
         JobStatus s;
         if (!service_.status(*id, &s))
             return errorResponse("unknown job id " +
                                  std::to_string(*id));
-        if (name == "result" && !jobStateTerminal(s.state)) {
-            std::uint64_t wait_ms = 0;
-            if (const obs::json::Value *w = req.find("wait_ms")) {
-                if (w->isNumber() && w->asNumber() > 0)
-                    wait_ms =
-                        static_cast<std::uint64_t>(w->asNumber());
-            }
-            if (wait_ms > 0) {
-                waiters_.push_back({fd, *id, nowMs() + wait_ms});
-                return obs::json::Value(); // answered on completion
-            }
+        if (name == "result" && !jobStateTerminal(s.state) &&
+            *wait_ms > 0) {
+            waiters_.push_back({fd, *id, nowMs() + *wait_ms});
+            return obs::json::Value(); // answered on completion
         }
         return statusResponse(s, name == "result");
     }
@@ -326,23 +324,27 @@ Server::handleRequest(int fd, const obs::json::Value &req)
             if (!lim->isObject())
                 return errorResponse("'limits' must be an object");
             for (const auto &[key, value] : lim->asObject()) {
-                if (!value.isNumber() || value.asNumber() < 0)
+                const std::uint64_t max =
+                    key == "retries"
+                        ? std::numeric_limits<unsigned>::max()
+                        : obs::json::kMaxExactInteger;
+                const auto n = obs::json::toUnsigned(value, max);
+                if (!n) {
                     return errorResponse("limit '" + key +
-                                         "' must be a non-negative "
-                                         "number");
-                const auto n =
-                    static_cast<std::uint64_t>(value.asNumber());
+                                         "' must be an integer in "
+                                         "[0, " + std::to_string(max) +
+                                         "]");
+                }
                 if (key == "max_queue")
-                    limits.maxQueue = n;
+                    limits.maxQueue = *n;
                 else if (key == "timeout_ms")
-                    limits.defaultTimeoutMs = n;
+                    limits.defaultTimeoutMs = *n;
                 else if (key == "retries")
-                    limits.retry.attempts =
-                        static_cast<unsigned>(n);
+                    limits.retry.attempts = static_cast<unsigned>(*n);
                 else if (key == "cache_entries")
-                    limits.maxCacheEntries = n;
+                    limits.maxCacheEntries = *n;
                 else if (key == "terminal_jobs")
-                    limits.maxTerminalJobs = n;
+                    limits.maxTerminalJobs = *n;
                 else
                     return errorResponse("unknown limit '" + key +
                                          "'");

@@ -21,15 +21,6 @@ namespace camo::server {
 
 namespace {
 
-/** camosim exit codes, mirrored (keep in sync with tools/camosim.cc
- *  and the README table). */
-constexpr int kCodeOk = 0;
-constexpr int kCodeRuntime = 1;
-constexpr int kCodeConfig = 3;
-constexpr int kCodeInvariant = 4;
-constexpr int kCodeWatchdog = 5;
-constexpr int kCodeLeakage = 6;
-
 obs::json::Value
 errorPayload(int code, const char *kind, const std::string &msg,
              const std::string &dump_path = {})
@@ -117,30 +108,18 @@ runJobPayload(const JobSpec &spec, std::uint64_t job_id,
             system.checkForLeaks();
 
         obs::json::Value payload = obs::json::Value::makeObject();
-        payload["code"] = kCodeOk;
+        payload["code"] = hard::kExitOk;
         // Byte-for-byte what `camosim --stats-json` writes.
         payload["result"] =
             sim::summaryJson(system, topo.workloads, false).dump(2) +
             "\n";
         return payload;
-    } catch (const hard::ConfigError &e) {
-        return errorPayload(kCodeConfig, "config", e.what());
-    } catch (const hard::InvariantViolation &e) {
-        return errorPayload(kCodeInvariant, "invariant", e.what(),
-                            e.dumpPath());
-    } catch (const hard::WatchdogTimeout &e) {
-        return errorPayload(kCodeWatchdog, "watchdog", e.what(),
-                            e.dumpPath());
-    } catch (const hard::LeakageAlert &e) {
-        return errorPayload(kCodeLeakage, "leakage", e.what(),
-                            e.dumpPath());
-    } catch (const hard::TransientFault &e) {
-        return errorPayload(kCodeRuntime, "transient", e.what());
     } catch (const hard::CamoError &e) {
-        return errorPayload(kCodeRuntime, hard::errorKindName(e.kind()),
-                            e.what());
+        return errorPayload(hard::exitCode(e.kind()),
+                            hard::errorKindName(e.kind()), e.what(),
+                            e.dumpPath());
     } catch (const std::exception &e) {
-        return errorPayload(kCodeRuntime, "runtime", e.what());
+        return errorPayload(hard::kExitRuntime, "runtime", e.what());
     }
 }
 
@@ -162,12 +141,11 @@ childMain(const JobSpec &spec, std::uint64_t job_id, unsigned attempt,
     const obs::json::Value payload =
         runJobPayload(spec, job_id, attempt, diag_dir);
     writeJson(write_fd, payload);
-    int code = kCodeRuntime;
-    if (const obs::json::Value *c = payload.find("code"))
-        code = static_cast<int>(c->asNumber());
+    const obs::json::Value *c = payload.find("code");
+    const auto code = c ? obs::json::toUnsigned(*c, 255) : std::nullopt;
     // _exit, not exit: skip atexit hooks and (under ASan) leak
     // checking — the parent classifies by payload, not teardown.
-    ::_exit(code);
+    ::_exit(static_cast<int>(code.value_or(hard::kExitRuntime)));
 }
 
 } // namespace
@@ -276,9 +254,12 @@ runJobForked(const JobSpec &spec, std::uint64_t job_id,
                 raw.substr(kFrameHeaderBytes, len));
         }
     }
-    if (!payload || !payload->isObject() || !payload->find("code")) {
+    const obs::json::Value *c =
+        payload && payload->isObject() ? payload->find("code") : nullptr;
+    const auto code = c ? obs::json::toUnsigned(*c, 255) : std::nullopt;
+    if (!code) {
         r.outcome = WorkerOutcome::Crashed;
-        r.code = kCodeRuntime;
+        r.code = hard::kExitRuntime;
         r.kind = "crash";
         if (WIFSIGNALED(wstatus)) {
             r.crashDetail =
@@ -295,7 +276,7 @@ runJobForked(const JobSpec &spec, std::uint64_t job_id,
     }
 
     const obs::json::Value &p = *payload;
-    r.code = static_cast<int>(p.find("code")->asNumber());
+    r.code = static_cast<int>(*code);
     if (const obs::json::Value *v = p.find("kind"))
         r.kind = v->asString();
     if (const obs::json::Value *v = p.find("error"))
@@ -304,14 +285,14 @@ runJobForked(const JobSpec &spec, std::uint64_t job_id,
         r.dumpPath = v->asString();
     if (const obs::json::Value *v = p.find("result"))
         r.result = v->asString();
-    if (r.code == kCodeOk && !r.result.empty()) {
+    if (r.code == hard::kExitOk && !r.result.empty()) {
         r.outcome = WorkerOutcome::Success;
     } else if (r.kind == "transient") {
         r.outcome = WorkerOutcome::Transient;
-    } else if (r.code == kCodeOk) {
+    } else if (r.code == hard::kExitOk) {
         // Claimed success without a result document: treat as crash.
         r.outcome = WorkerOutcome::Crashed;
-        r.code = kCodeRuntime;
+        r.code = hard::kExitRuntime;
         r.kind = "crash";
         r.crashDetail = "success payload without result";
         r.error = "worker crashed (" + r.crashDetail + ")";

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "src/common/logging.h"
+#include "src/common/parse.h"
 #include "src/ga/mise.h"
 
 namespace camo::sim {
@@ -13,10 +14,8 @@ unsigned
 defaultJobs()
 {
     if (const char *env = std::getenv("CAMO_JOBS")) {
-        char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            return static_cast<unsigned>(std::min<long>(v, 256));
+        if (const auto v = parseUnsigned(env); v && *v > 0)
+            return static_cast<unsigned>(std::min<std::uint64_t>(*v, 256));
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;

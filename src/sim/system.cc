@@ -50,6 +50,11 @@ validateSystemConfig(const SystemConfig &cfg,
 {
     if (cfg.numCores < 1)
         throw hard::ConfigError("numCores must be >= 1, got 0");
+    if (cfg.numCores > kMaxCores) {
+        throw hard::ConfigError(detail::fmt("numCores must be <= ",
+                                            kMaxCores, ", got ",
+                                            cfg.numCores));
+    }
     if (cfg.mc.org.channels < 1)
         throw hard::ConfigError("channels must be >= 1, got 0");
     if (num_workloads != cfg.numCores) {
@@ -417,6 +422,16 @@ System::enableCheckers(const hard::CheckerConfig &cfg)
 void
 System::setFaultInjector(hard::FaultInjector *injector)
 {
+    const std::vector<hard::FaultSpec> none;
+    for (const hard::FaultSpec &fs :
+         injector ? injector->plan().faults : none) {
+        if (fs.core != kNoCore && fs.core >= cfg_.numCores) {
+            throw hard::ConfigError(detail::fmt(
+                "fault ", hard::faultKindName(fs.kind), " targets core ",
+                fs.core, " but the machine has ", cfg_.numCores,
+                " cores"));
+        }
+    }
     pipe_->injector = injector;
 }
 

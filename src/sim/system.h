@@ -139,8 +139,8 @@ struct PlanOverrides
 };
 
 /** The structural checks SystemPlan and System (after applying
- *  PlanOverrides) run: core and channel counts, per-core vector
- *  sizes.
+ *  PlanOverrides) run: core count (1..kMaxCores), channel count,
+ *  per-core vector sizes.
  *  @throws hard::ConfigError */
 void validateSystemConfig(const SystemConfig &cfg,
                           std::size_t num_workloads);
@@ -320,7 +320,9 @@ class System final : public WakeSink
     const hard::CheckerSet *checkers() const { return checkers_.get(); }
 
     /** Attach a fault injector (borrowed; nullptr detaches); the
-     *  stations consult it at their hook points. */
+     *  stations consult it at their hook points.
+     *  @throws hard::ConfigError if a fault's core= is not a core of
+     *  this machine (the fault could never fire). */
     void setFaultInjector(hard::FaultInjector *injector);
 
     /** Arm the forward-progress watchdog; run() polls it and throws

@@ -1,6 +1,5 @@
 #include "src/sim/topology.h"
 
-#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -22,31 +21,23 @@ fail(const std::string &key, const std::string &what)
     throw hard::ConfigError("topology: '" + key + "' " + what);
 }
 
-double
-asNumber(const Value &v, const std::string &key)
-{
-    if (!v.isNumber())
-        fail(key, "must be a number");
-    return v.asNumber();
-}
-
 std::uint64_t
-asU64(const Value &v, const std::string &key)
+asU64(const Value &v, const std::string &key,
+      std::uint64_t max = obs::json::kMaxExactInteger)
 {
-    const double d = asNumber(v, key);
-    // 2^64 is exact as a double; casting it or more is undefined.
-    if (d < 0 || d != std::floor(d) || d >= 0x1p64)
-        fail(key, "must be a non-negative integer below 2^64");
-    return static_cast<std::uint64_t>(d);
+    const auto n = obs::json::toUnsigned(v, max);
+    if (!n) {
+        fail(key, "must be an integer in [0, " + std::to_string(max) +
+                      "]");
+    }
+    return *n;
 }
 
 std::uint32_t
 asU32(const Value &v, const std::string &key)
 {
-    const std::uint64_t n = asU64(v, key);
-    if (n > std::numeric_limits<std::uint32_t>::max())
-        fail(key, "must be below 2^32");
-    return static_cast<std::uint32_t>(n);
+    return static_cast<std::uint32_t>(
+        asU64(v, key, std::numeric_limits<std::uint32_t>::max()));
 }
 
 bool
@@ -211,10 +202,10 @@ topologyFromJson(const Value &doc)
         } else if (k == "fake_sequential") {
             topo.system.fakeSequential = asBool(v, k);
         } else if (k == "fake_write_frac") {
-            const double f = asNumber(v, k);
-            if (f < 0.0 || f > 1.0)
-                fail(k, "must be in [0, 1]");
-            topo.system.fakeWriteFrac = f;
+            if (!v.isNumber() ||
+                !(v.asNumber() >= 0.0 && v.asNumber() <= 1.0))
+                fail(k, "must be a number in [0, 1]");
+            topo.system.fakeWriteFrac = v.asNumber();
         } else if (k == "fast_forward") {
             topo.system.fastForward = asBool(v, k);
         } else if (k == "noc") {

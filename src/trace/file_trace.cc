@@ -3,9 +3,11 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "src/common/logging.h"
+#include "src/common/parse.h"
 #include "src/hard/error.h"
 
 namespace camo::trace {
@@ -28,6 +30,19 @@ failTrace(const std::string &source, const std::string &what,
     os << "trace '" << source << "': " << what << " token '" << tok.text
        << "' at byte " << tok.offset;
     throw hard::ConfigError(os.str());
+}
+
+/** The unsigned value of `tok` in `base` (16 allows a 0x prefix);
+ *  a failTrace naming `what` when it is not one. */
+std::uint64_t
+parseUint(const std::string &source, const std::string &what,
+          const Token &tok, int base = 10)
+{
+    const auto v = parseUnsigned(
+        tok.text, std::numeric_limits<std::uint64_t>::max(), base);
+    if (!v)
+        failTrace(source, what, tok);
+    return *v;
 }
 
 /** Whitespace-split one line, recording absolute byte offsets.
@@ -96,39 +111,6 @@ tokenizeCsvLine(const std::string &line, std::size_t line_start)
     return out;
 }
 
-/** Parse an unsigned integer token in `base`; the whole token must
- *  convert. */
-bool
-parseUint(const Token &tok, int base, std::uint64_t &value)
-{
-    const std::string &t = tok.text;
-    std::size_t start = 0;
-    if (base == 16 && t.size() > 2 && t[0] == '0' &&
-        (t[1] == 'x' || t[1] == 'X')) {
-        start = 2;
-    }
-    if (start >= t.size())
-        return false;
-    value = 0;
-    for (std::size_t i = start; i < t.size(); ++i) {
-        const char c = t[i];
-        int digit;
-        if (c >= '0' && c <= '9')
-            digit = c - '0';
-        else if (base == 16 && c >= 'a' && c <= 'f')
-            digit = 10 + (c - 'a');
-        else if (base == 16 && c >= 'A' && c <= 'F')
-            digit = 10 + (c - 'A');
-        else
-            return false;
-        if (digit >= base)
-            return false;
-        value = value * static_cast<std::uint64_t>(base) +
-                static_cast<std::uint64_t>(digit);
-    }
-    return true;
-}
-
 std::uint64_t
 readLeU64(const std::string &bytes, std::size_t at)
 {
@@ -189,9 +171,8 @@ parseDramSim2Trace(const std::string &text, const std::string &source)
         if (toks.size() > 3)
             failTrace(source, "unexpected trailing", toks[3]);
 
-        std::uint64_t addr = 0;
-        if (!parseUint(toks[0], 16, addr))
-            failTrace(source, "bad address", toks[0]);
+        const std::uint64_t addr =
+            parseUint(source, "bad address", toks[0], 16);
 
         bool is_write;
         if (toks[1].text == "P_MEM_RD" || toks[1].text == "P_FETCH")
@@ -201,9 +182,8 @@ parseDramSim2Trace(const std::string &text, const std::string &source)
         else
             failTrace(source, "unknown command", toks[1]);
 
-        std::uint64_t cycle = 0;
-        if (!parseUint(toks[2], 10, cycle))
-            failTrace(source, "bad cycle", toks[2]);
+        const std::uint64_t cycle =
+            parseUint(source, "bad cycle", toks[2]);
         if (!first && cycle < prev_cycle)
             failTrace(source, "non-monotonic cycle", toks[2]);
 
@@ -310,9 +290,7 @@ parseGem5Trace(const std::string &text, const std::string &source)
         if (toks.size() > 4)
             failTrace(source, "unexpected trailing", toks[4]);
 
-        std::uint64_t tick = 0;
-        if (!parseUint(toks[0], 10, tick))
-            failTrace(source, "bad tick", toks[0]);
+        const std::uint64_t tick = parseUint(source, "bad tick", toks[0]);
         if (!first && tick < prev_tick)
             failTrace(source, "non-monotonic tick", toks[0]);
 
@@ -329,20 +307,18 @@ parseGem5Trace(const std::string &text, const std::string &source)
         // tend to use hex. Accept both (0x selects hex).
         const bool hex_addr = toks[2].text.rfind("0x", 0) == 0 ||
                               toks[2].text.rfind("0X", 0) == 0;
-        std::uint64_t addr = 0;
-        if (!parseUint(toks[2], hex_addr ? 16 : 10, addr))
-            failTrace(source, "bad address", toks[2]);
-
-        std::uint64_t size = 0;
-        if (!parseUint(toks[3], 10, size) || size == 0 ||
-            size > kMaxPacketBytes) {
+        const std::uint64_t addr = parseUint(source, "bad address",
+                                             toks[2], hex_addr ? 16 : 10);
+        const auto size = parseUnsigned(toks[3].text, kMaxPacketBytes);
+        if (!size || *size == 0)
             failTrace(source, "bad size (1..4096 bytes)", toks[3]);
-        }
+        if (addr > std::numeric_limits<std::uint64_t>::max() - (*size - 1))
+            failTrace(source, "bad address (packet wraps past 2^64)", toks[2]);
 
         // One TraceItem per 64-byte line the packet touches; the tick
         // delta paces the first, the rest ride along immediately.
         const std::uint64_t first_line = addr / kLineBytes;
-        const std::uint64_t last_line = (addr + size - 1) / kLineBytes;
+        const std::uint64_t last_line = (addr + *size - 1) / kLineBytes;
         for (std::uint64_t ln = first_line; ln <= last_line; ++ln) {
             TraceItem item;
             item.waitCycles =

@@ -1,10 +1,10 @@
 #include "src/trace/workloads.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "src/common/logging.h"
+#include "src/common/parse.h"
 #include "src/hard/error.h"
 #include "src/trace/covert.h"
 #include "src/trace/file_trace.h"
@@ -36,21 +36,23 @@ parseKeyHex(const std::string &name, const std::string &hex,
     if (hex.empty() || hex.size() > 8)
         failWorkload(name, "bad covert key (1..8 hex digits expected)",
                      hex, offset);
-    std::uint64_t key = 0;
-    for (char c : hex) {
-        int digit;
-        if (c >= '0' && c <= '9')
-            digit = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            digit = 10 + (c - 'a');
-        else if (c >= 'A' && c <= 'F')
-            digit = 10 + (c - 'A');
-        else
-            failWorkload(name, "bad covert key (hex expected)", hex,
-                         offset);
-        key = (key << 4) | static_cast<std::uint64_t>(digit);
-    }
-    return static_cast<std::uint32_t>(key);
+    // Digits only: the base-16 path would also take a 0x prefix.
+    const auto key = parseUnsigned(hex, 0xFFFFFFFF, 16);
+    if (!key || hex.find_first_of("xX") != std::string::npos)
+        failWorkload(name, "bad covert key (hex expected)", hex, offset);
+    return static_cast<std::uint32_t>(*key);
+}
+
+/** Parse the decimal parameter of a "kind:N" name, which must be at
+ *  least `min` (`offset` = where `text` starts in `name`). */
+std::uint64_t
+parseParam(const std::string &name, const std::string &text,
+           std::uint64_t min, const char *what, std::size_t offset)
+{
+    const auto v = parseUnsigned(text);
+    if (!v || *v < min)
+        failWorkload(name, what, text, offset);
+    return *v;
 }
 
 /**
@@ -347,16 +349,9 @@ compileWorkload(const std::string &name)
             // "probe:N" probes every N CPU cycles; the default 150 is
             // the paper's dense receiver, large N gives the sparse
             // (DRAM-idle-heavy) receiver.
-            const std::string every_str = name.substr(6);
-            char *end = nullptr;
-            const unsigned long every =
-                std::strtoul(every_str.c_str(), &end, 10);
-            if (every_str.empty() || end == nullptr || *end != '\0' ||
-                every == 0) {
-                failWorkload(name, "bad probe cadence (cycles >= 1)",
-                             every_str, 6);
-            }
-            w.probe_.probeEveryCycles = every;
+            w.probe_.probeEveryCycles =
+                parseParam(name, name.substr(6), 1,
+                           "bad probe cadence (cycles >= 1)", 6);
         }
         return w;
     }
@@ -380,16 +375,9 @@ compileWorkload(const std::string &name)
         std::string rest = name.substr(4);
         const std::size_t colon = rest.find(':');
         if (colon != std::string::npos) {
-            const std::string pulse_str = rest.substr(colon + 1);
-            char *end = nullptr;
-            const unsigned long pulse =
-                std::strtoul(pulse_str.c_str(), &end, 10);
-            if (pulse_str.empty() || end == nullptr || *end != '\0' ||
-                pulse < 100) {
-                failWorkload(name, "bad PIM pulse (cycles >= 100)",
-                             pulse_str, 4 + colon + 1);
-            }
-            w.pim_.pulseCycles = pulse;
+            w.pim_.pulseCycles =
+                parseParam(name, rest.substr(colon + 1), 100,
+                           "bad PIM pulse (cycles >= 100)", 4 + colon + 1);
             rest = rest.substr(0, colon);
         }
         w.pim_.key = keyBits(parseKeyHex(name, rest, 4));
@@ -422,17 +410,9 @@ compileWorkload(const std::string &name)
         if (name.size() > 10) {
             // "webdiurnal:DAY" compresses one 24-hour day into DAY
             // instructions.
-            const std::string day_str = name.substr(11);
-            char *end = nullptr;
-            const unsigned long day =
-                std::strtoul(day_str.c_str(), &end, 10);
-            if (day_str.empty() || end == nullptr || *end != '\0' ||
-                day < 24) {
-                failWorkload(name,
-                             "bad day length (instructions >= 24)",
-                             day_str, 11);
-            }
-            w.dayInstrs_ = day;
+            w.dayInstrs_ =
+                parseParam(name, name.substr(11), 24,
+                           "bad day length (instructions >= 24)", 11);
         }
         return w;
     }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -12,12 +13,106 @@
 #include "src/common/clock.h"
 #include "src/common/histogram.h"
 #include "src/common/logging.h"
+#include "src/common/parse.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
+#include "src/obs/json.h"
 #include "src/obs/registry.h"
 
 namespace camo {
 namespace {
+
+// ---------------------------------------------------- external numbers
+
+TEST(Parse, ConvertersAcceptOnlyPlainInRangeNumbers)
+{
+    constexpr std::uint64_t kMax64 = ~std::uint64_t{0};
+    const std::optional<std::uint64_t> kNo;
+    struct TextCase
+    {
+        const char *text;
+        std::uint64_t max;
+        int base;
+        std::optional<std::uint64_t> want;
+    };
+    const TextCase text[] = {
+        {"0", kMax64, 10, 0},
+        {"42", kMax64, 10, 42},
+        {"18446744073709551615", kMax64, 10, kMax64},
+        {"4294967295", 4294967295u, 10, 4294967295u},
+        {"4294967296", 4294967295u, 10, kNo},
+        {"18446744073709551616", kMax64, 10, kNo},
+        {"", kMax64, 10, kNo},
+        {"-1", kMax64, 10, kNo},
+        {" -5", kMax64, 10, kNo},
+        {" 5", kMax64, 10, kNo},
+        {"5 ", kMax64, 10, kNo},
+        {"+7", kMax64, 10, kNo},
+        {"1e3", kMax64, 10, kNo},
+        {"12x", kMax64, 10, kNo},
+        {"nan", kMax64, 10, kNo},
+        {"inf", kMax64, 10, kNo},
+        {"0x1F", kMax64, 10, kNo},
+        {"0x1F", kMax64, 16, 0x1F},
+        {"0X1f", kMax64, 16, 0x1F},
+        {"1F", kMax64, 16, 0x1F},
+        {"0x", kMax64, 16, kNo},
+        {"-0x1F", kMax64, 16, kNo},
+        {"0xFFFFFFFFFFFFFFFF", kMax64, 16, kMax64},
+        {"0x10000000000000000", kMax64, 16, kNo},
+        {"1FFFFFFFF", 0xFFFFFFFF, 16, kNo},
+    };
+    for (const TextCase &c : text) {
+        EXPECT_EQ(parseUnsigned(c.text, c.max, c.base), c.want)
+            << "'" << c.text << "' base " << c.base << " max " << c.max;
+    }
+
+    struct RealCase
+    {
+        const char *text;
+        std::optional<double> want;
+    };
+    const RealCase reals[] = {
+        {"0", 0.0},      {"0.25", 0.25},  {"1", 1.0},
+        {"1e-3", 1e-3},  {"1.5", std::nullopt},
+        {"-0.1", std::nullopt}, {"nan", std::nullopt},
+        {"inf", std::nullopt},  {"", std::nullopt},
+        {" 0.5", std::nullopt}, {"+0.5", std::nullopt},
+        {"0.5x", std::nullopt},
+    };
+    for (const RealCase &c : reals)
+        EXPECT_EQ(parseReal(c.text, 0.0, 1.0), c.want) << c.text;
+
+    struct JsonCase
+    {
+        const char *json;
+        std::uint64_t max;
+        std::optional<std::uint64_t> want;
+    };
+    const JsonCase json[] = {
+        {"0", obs::json::kMaxExactInteger, 0},
+        {"7", obs::json::kMaxExactInteger, 7},
+        {"9007199254740991", obs::json::kMaxExactInteger,
+         obs::json::kMaxExactInteger},
+        {"9007199254740991", kMax64, obs::json::kMaxExactInteger},
+        {"9007199254740992", kMax64, kNo},
+        {"9007199254740993", kMax64, kNo},
+        {"255", 255, 255},
+        {"256", 255, kNo},
+        {"1.5", kMax64, kNo},
+        {"-1", kMax64, kNo},
+        {"1e30", kMax64, kNo},
+        {"1e999", kMax64, kNo},
+        {"\"7\"", kMax64, kNo},
+        {"true", kMax64, kNo},
+        {"null", kMax64, kNo},
+    };
+    for (const JsonCase &c : json) {
+        EXPECT_EQ(obs::json::toUnsigned(obs::json::parse(c.json), c.max),
+                  c.want)
+            << c.json << " max " << c.max;
+    }
+}
 
 // ---------------------------------------------------------------- Rng
 

@@ -3,9 +3,9 @@
  * Table-driven matrix over camosim's documented exit codes: every
  * code in the contract (0 ok, 1 runtime, 2 usage, 3 config,
  * 4 invariant, 5 watchdog, 6 leakage) is provoked by a real
- * invocation of the installed binary. The daemon's worker
- * (src/server/worker.cc) mirrors these constants, so this matrix is
- * what keeps the two surfaces honest with each other.
+ * invocation of the installed binary. The codes come from one table,
+ * hard::exitCode (src/hard/error.h), which the daemon's worker
+ * (src/server/worker.cc) reports in its job payloads too.
  */
 
 #include <gtest/gtest.h>
@@ -129,6 +129,17 @@ TEST(ExitCodes, UsageAndConfigAreDistinguished)
     EXPECT_EQ(runCamosim({"--channels=0", "--cycles=1000"}), 3);
     EXPECT_EQ(runCamosim({"--channels=4294967296"}), 2);
     EXPECT_EQ(runCamosim({"--seed=99999999999999999999"}), 2);
+    // Hostile numbers: a sign or whitespace is not a digit, nan is no
+    // probability, and a fault must target a core the machine has.
+    EXPECT_EQ(runCamosim({"--seed= -5", "--cycles=1000"}), 2);
+    EXPECT_EQ(runCamosim({"--workloads=probe:-5,astar", "--cycles=1000"}),
+              3);
+    EXPECT_EQ(runCamosim({"--inject=drop-resp:rate=nan",
+                          "--workloads=mcf,astar", "--cycles=1000"}),
+              3);
+    EXPECT_EQ(runCamosim({"--inject=drop-resp:rate=0.1:core=7",
+                          "--workloads=mcf,astar", "--cycles=1000"}),
+              3);
     const std::string huge_channels =
         ::testing::TempDir() + "/camosim_huge_channels.json";
     const std::string huge_cores =

@@ -170,6 +170,27 @@ TEST(FaultPlanParse, RoundTripAndValidation)
     EXPECT_THROW(FaultPlan::parse("no-such-kind:at=5", 1), ConfigError);
     EXPECT_THROW(FaultPlan::parse("drop-resp:bogus=1", 1), ConfigError);
     EXPECT_THROW(FaultPlan::parse("drop-resp:rate=x", 1), ConfigError);
+    // Hostile numbers: nan is no probability, a sign is no cycle, an
+    // overflow is no magnitude, and core= must name a core (2^32 would
+    // wrap to core 0; 2^32 - 1 is the "any core" sentinel).
+    EXPECT_THROW(FaultPlan::parse("drop-resp:rate=nan", 1), ConfigError);
+    EXPECT_THROW(FaultPlan::parse("drop-resp:at=-5", 1), ConfigError);
+    EXPECT_THROW(
+        FaultPlan::parse("delay-resp:at=5:param=18446744073709551616", 1),
+        ConfigError);
+    EXPECT_THROW(FaultPlan::parse("wedge-req:at=5:core=4294967296", 1),
+                 ConfigError);
+    EXPECT_THROW(FaultPlan::parse("wedge-req:at=5:core=4294967295", 1),
+                 ConfigError);
+    // A core the machine does not have is refused when the injector
+    // is attached, since the fault could never fire.
+    sim::SystemConfig two = sim::paperConfig();
+    two.numCores = 2;
+    sim::System sys(sim::SystemPlan(two, {"mcf", "astar"}));
+    FaultInjector on1(FaultPlan::parse("wedge-req:at=5:core=1", 1));
+    EXPECT_NO_THROW(sys.setFaultInjector(&on1));
+    FaultInjector on2(FaultPlan::parse("wedge-req:at=5:core=2", 1));
+    EXPECT_THROW(sys.setFaultInjector(&on2), ConfigError);
     // Stochastic faults need a trigger; worker faults reject cycles.
     EXPECT_THROW(FaultPlan::parse("drop-resp", 1), ConfigError);
     EXPECT_THROW(FaultPlan::parse("worker-kill:at=100", 1),

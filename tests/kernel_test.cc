@@ -439,6 +439,10 @@ TEST(Topology, RejectsBadDocuments)
                  ConfigError);
     EXPECT_THROW(parseTopology(R"({"workload": "astar", "seed": 1e20})"),
                  ConfigError);
+    // A JSON number is a double: 2^53 + 1 would run as seed 2^53.
+    EXPECT_THROW(parseTopology(R"({"workload": "astar",
+                                   "seed": 9007199254740993})"),
+                 ConfigError);
     EXPECT_THROW(parseTopology(R"({"workload": "astar",
                                    "noc": {"latency": 4294967296}})"),
                  ConfigError);

@@ -337,6 +337,15 @@ TEST(SystemPlan, RejectsMalformedInputsLikeSystemDoes)
         EXPECT_EQ(std::string(e.what()), expected);
     }
 
+    // A request id carries its core in 16 bits, so 2^16 cores is the
+    // largest machine; core 2^16 would reuse core 0's ids.
+    sim::SystemConfig wide = cfg;
+    wide.numCores = 65536;
+    EXPECT_NO_THROW(sim::validateSystemConfig(wide, 65536));
+    wide.numCores = 65537;
+    EXPECT_THROW(sim::validateSystemConfig(wide, 65537),
+                 hard::ConfigError);
+
     // An empty per-core override means "use the shared bins".
     sim::PlanOverrides empty;
     empty.reqBinsPerCore = std::vector<shaper::BinConfig>{};

@@ -112,6 +112,9 @@ TEST(FileTraceDramSim2, RejectionMatrix)
         {"0x2000 P_MEM_XX 5\n",
          "unknown command token 'P_MEM_XX' at byte 7"},
         {"0x2000 P_MEM_RD 5x\n", "bad cycle token '5x' at byte 16"},
+        // 17 hex digits overflow 64 bits; they must not wrap.
+        {"0x10000000000000000 P_MEM_RD 5\n",
+         "bad address token '0x10000000000000000' at byte 0"},
         {"0x2000 P_MEM_RD 50\n0x2040 P_MEM_RD 40\n",
          "non-monotonic cycle token '40' at byte 35"},
         {"# only a comment\n", "contains no memory operations"},
@@ -297,6 +300,8 @@ TEST(FileTraceGem5, RejectionMatrix)
         {"1000,r,0x2000,64,9\n",
          "unexpected trailing token '9' at byte 17"},
         {"10x0,r,0x2000,64\n", "bad tick token '10x0' at byte 0"},
+        {"18446744073709551616,r,0x2000,64\n",
+         "bad tick token '18446744073709551616' at byte 0"},
         {"100,r,0x2000,64\n90,r,0x2000,64\n",
          "non-monotonic tick token '90' at byte 16"},
         {"1000,x,0x2000,64\n", "unknown command token 'x' at byte 5"},
@@ -307,6 +312,9 @@ TEST(FileTraceGem5, RejectionMatrix)
          "bad size (1..4096 bytes) token '0' at byte 14"},
         {"1000,r,0x2000,4097\n",
          "bad size (1..4096 bytes) token '4097' at byte 14"},
+        {"1000,r,0xFFFFFFFFFFFFFFC0,128\n",
+         "bad address (packet wraps past 2^64) token '0xFFFFFFFFFFFFFFC0' "
+         "at byte 7"},
         {"# only a comment\n", "contains no memory operations"},
         {"", "contains no memory operations"},
     };
@@ -354,6 +362,11 @@ TEST(TraceWorkloads, MalformedNamesNameTokenAndOffset)
          "bad covert key (1..8 hex digits expected)"},
         {"pim:2AAAAAAA:50", "bad PIM pulse (cycles >= 100) token '50'"},
         {"pim:2AAAAAAA:12x", "token '12x'"},
+        // A sign is not a digit: these used to wrap to 2^64 - N.
+        {"probe:-5", "bad probe cadence (cycles >= 1) token '-5' at byte 6"},
+        {"pim:2AAAAAAA:-100",
+         "bad PIM pulse (cycles >= 100) token '-100' at byte 13"},
+        {"webdiurnal: 48", "token ' 48' at byte 11"},
         {"dramsim2:@nope", "unknown builtin trace '@nope'"},
         {"champsim:/nonexistent/path.bin", "cannot open trace file"},
         {"gem5:@nope", "unknown builtin trace '@nope'"},

@@ -168,6 +168,13 @@ TEST(JobSpecModel, FromJsonIsStrict)
     bad["cycles"] = "many";
     EXPECT_FALSE(JobSpec::fromJson(bad, &spec, &err));
 
+    // So are numbers that are not exact non-negative integers: a
+    // fraction, and a seed 2^53 + 1 that would run as 2^53.
+    bad["cycles"] = 1.5;
+    EXPECT_FALSE(JobSpec::fromJson(bad, &spec, &err));
+    bad["cycles"] = obs::json::parse("9007199254740993");
+    EXPECT_FALSE(JobSpec::fromJson(bad, &spec, &err));
+
     // config is required.
     obs::json::Value empty = obs::json::Value::makeObject();
     EXPECT_FALSE(JobSpec::fromJson(empty, &spec, &err));
@@ -243,6 +250,14 @@ TEST(Worker, PayloadClassifiesTypedErrors)
     const obs::json::Value cfg_err = runJobPayload(bad, 1, 0, "");
     EXPECT_EQ(cfg_err.find("code")->asNumber(), 3.0);
     EXPECT_EQ(cfg_err.find("kind")->asString(), "config");
+
+    // A fault aimed at a core the machine lacks could never fire.
+    JobSpec off_machine = smallSpec();
+    off_machine.inject = "drop-resp:rate=0.1:core=7";
+    const obs::json::Value core_err =
+        runJobPayload(off_machine, 1, 0, "");
+    EXPECT_EQ(core_err.find("code")->asNumber(), 3.0);
+    EXPECT_EQ(core_err.find("kind")->asString(), "config");
 
     JobSpec invariant = smallSpec(3);
     invariant.checkers = true;

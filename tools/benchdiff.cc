@@ -15,12 +15,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/common/parse.h"
 #include "src/obs/benchdiff.h"
 #include "src/obs/json.h"
 
@@ -82,14 +83,15 @@ main(int argc, char **argv)
         }
         if (arg.rfind("--threshold=", 0) == 0) {
             const std::string v = arg.substr(12);
-            char *end = nullptr;
-            opts.threshold = std::strtod(v.c_str(), &end);
-            if (v.empty() || *end != '\0' || opts.threshold < 0.0) {
+            const auto threshold =
+                parseReal(v, 0.0, std::numeric_limits<double>::max());
+            if (!threshold) {
                 std::fprintf(stderr,
                              "benchdiff: bad --threshold '%s'\n",
                              v.c_str());
                 return 2;
             }
+            opts.threshold = *threshold;
             continue;
         }
         if (arg.rfind("--", 0) == 0) {

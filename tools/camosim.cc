@@ -30,9 +30,7 @@
  * alert.
  */
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -45,6 +43,7 @@
 
 #include "src/common/build_info.h"
 #include "src/common/logging.h"
+#include "src/common/parse.h"
 #include "src/hard/error.h"
 #include "src/hard/fault_injection.h"
 #include "src/obs/benchdiff.h"
@@ -64,18 +63,6 @@
 using namespace camo;
 
 namespace {
-
-/** Exit codes (keep in sync with the file header and README). */
-enum ExitCode
-{
-    kExitOk = 0,
-    kExitRuntime = 1,
-    kExitUsage = 2,
-    kExitConfig = 3,
-    kExitInvariant = 4,
-    kExitWatchdog = 5,
-    kExitLeakage = 6,
-};
 
 /** A command-line problem: reported with usage help, exit code 2. */
 struct UsageError : std::runtime_error
@@ -144,47 +131,26 @@ struct Options
     std::string diagDir; // "" = dumps go to stderr
 };
 
-/** Strict full-string unsigned parse; rejects "12x", "", "-3". */
+/** A flag's unsigned value, at most `max` (see parseUnsigned). */
 std::uint64_t
-parseU64Flag(const std::string &flag, const std::string &value)
+parseU64Flag(const std::string &flag, const std::string &value,
+             std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v =
-        std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || end == value.c_str() || *end != '\0' ||
-        value[0] == '-') {
+    const auto v = parseUnsigned(value, max);
+    if (!v) {
         throw UsageError(flag + "=" + value +
-                         " is not an unsigned integer");
+                         " is not an unsigned integer <= " +
+                         std::to_string(max));
     }
-    if (errno == ERANGE)
-        throw UsageError(flag + "=" + value + " is out of range");
-    return v;
+    return *v;
 }
 
-/** parseU64Flag for a 32-bit field: larger values are out of range
- *  rather than truncated. */
+/** parseU64Flag for a 32-bit field. */
 std::uint32_t
 parseU32Flag(const std::string &flag, const std::string &value)
 {
-    const std::uint64_t v = parseU64Flag(flag, value);
-    if (v > std::numeric_limits<std::uint32_t>::max())
-        throw UsageError(flag + "=" + value + " is out of range");
-    return static_cast<std::uint32_t>(v);
-}
-
-/** Strict full-string non-negative double parse. */
-double
-parseDoubleFlag(const std::string &flag, const std::string &value)
-{
-    char *end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (value.empty() || end == value.c_str() || *end != '\0' ||
-        !(v >= 0.0)) {
-        throw UsageError(flag + "=" + value +
-                         " is not a non-negative number");
-    }
-    return v;
+    return static_cast<std::uint32_t>(parseU64Flag(
+        flag, value, std::numeric_limits<std::uint32_t>::max()));
 }
 
 std::vector<std::string>
@@ -448,8 +414,15 @@ flagTable()
          "above the\nthreshold, bare monitors only",
          [](Options &o, const std::string &v) {
              o.leakmon = true;
-             if (!v.empty())
-                 o.leakmonThreshold = parseDoubleFlag("--leakmon", v);
+             if (v.empty())
+                 return;
+             const auto bits =
+                 parseReal(v, 0.0, std::numeric_limits<double>::max());
+             if (!bits) {
+                 throw UsageError("--leakmon=" + v +
+                                  " is not a non-negative number");
+             }
+             o.leakmonThreshold = *bits;
          }},
         {"leakmon-window", A::Value, "N",
          "sliding-window width in cycles\n(default 50000)",
@@ -461,8 +434,7 @@ flagTable()
         {"leakmon-core", A::Value, "N",
          "core whose streams are monitored\n(default 0)",
          [](Options &o, const std::string &v) {
-             o.leakmonCore = static_cast<std::uint32_t>(
-                 parseU64Flag("--leakmon-core", v));
+             o.leakmonCore = parseU32Flag("--leakmon-core", v);
              o.leakmonCoreSet = true;
          }},
         {"version", A::Bare, "",
@@ -719,7 +691,7 @@ runCamosim(const Options &opt)
                 std::printf("%llu,%.4f\n",
                             static_cast<unsigned long long>(opt.seed + k),
                             runs[k].throughput());
-            return kExitOk;
+            return hard::kExitOk;
         }
         std::printf("%s", sim::systemBanner(cfg).c_str());
         std::printf("# mitigation: %s, %u seeds from %llu, %llu cycles "
@@ -738,7 +710,7 @@ runCamosim(const Options &opt)
         }
         std::printf("\nmean throughput: %.3f\n",
                     total / static_cast<double>(opt.sweepSeeds));
-        return kExitOk;
+        return hard::kExitOk;
     }
 
     sim::System system(sim::SystemPlan(cfg, opt.workloads));
@@ -869,7 +841,7 @@ runCamosim(const Options &opt)
                             m.servedReads[i]),
                         m.avgReadLatency[i], m.alpha[i]);
         }
-        return kExitOk;
+        return hard::kExitOk;
     }
 
     std::printf("%s", sim::systemBanner(cfg).c_str());
@@ -923,7 +895,21 @@ runCamosim(const Options &opt)
                     mon->lastWindowMiBits(), mon->peakWindowMiBits(),
                     mon->history().size());
     }
-    return kExitOk;
+    return hard::kExitOk;
+}
+
+/** camosim's stderr lead-in for an error of `kind`. */
+std::string
+errorLead(hard::ErrorKind kind)
+{
+    switch (kind) {
+      case hard::ErrorKind::Config: return "invalid configuration";
+      case hard::ErrorKind::Invariant: return "invariant violation";
+      case hard::ErrorKind::Watchdog: return "watchdog";
+      case hard::ErrorKind::Leakage: return "leakage alert";
+      case hard::ErrorKind::Transient: break;
+    }
+    return std::string(hard::errorKindName(kind)) + " error";
 }
 
 } // namespace
@@ -931,64 +917,36 @@ runCamosim(const Options &opt)
 int
 main(int argc, char **argv)
 {
-    Options opt;
     try {
-        opt = parseArgs(argc, argv);
+        const Options opt = parseArgs(argc, argv);
+        if (opt.help) {
+            printUsage(stdout, argv[0]);
+            return hard::kExitOk;
+        }
+        if (opt.version) {
+            std::printf("%s\n", buildVersionLine().c_str());
+            return hard::kExitOk;
+        }
+        if (opt.listScenarios) {
+            std::printf("%s", scenario::listScenariosText().c_str());
+            return hard::kExitOk;
+        }
+        return runCamosim(opt);
     } catch (const UsageError &e) {
         std::fprintf(stderr, "camosim: %s\n", e.what());
         printUsage(stderr, argv[0]);
-        return kExitUsage;
-    } catch (const hard::ConfigError &e) {
-        // A malformed --config file is a configuration problem, not a
-        // command-line one: no usage dump, exit 3.
-        std::fprintf(stderr, "camosim: invalid configuration: %s\n",
-                     e.what());
-        return kExitConfig;
-    }
-    if (opt.help) {
-        printUsage(stdout, argv[0]);
-        return kExitOk;
-    }
-    if (opt.version) {
-        std::printf("%s\n", buildVersionLine().c_str());
-        return kExitOk;
-    }
-    if (opt.listScenarios) {
-        std::printf("%s", scenario::listScenariosText().c_str());
-        return kExitOk;
-    }
-
-    try {
-        return runCamosim(opt);
-    } catch (const hard::ConfigError &e) {
-        std::fprintf(stderr, "camosim: invalid configuration: %s\n",
-                     e.what());
-        return kExitConfig;
-    } catch (const hard::InvariantViolation &e) {
-        std::fprintf(stderr, "camosim: invariant violation: %s\n",
-                     e.what());
-        if (!e.dumpPath().empty())
-            std::fprintf(stderr, "camosim: diagnostic dump: %s\n",
-                         e.dumpPath().c_str());
-        return kExitInvariant;
-    } catch (const hard::WatchdogTimeout &e) {
-        std::fprintf(stderr, "camosim: watchdog: %s\n", e.what());
-        if (!e.dumpPath().empty())
-            std::fprintf(stderr, "camosim: diagnostic dump: %s\n",
-                         e.dumpPath().c_str());
-        return kExitWatchdog;
-    } catch (const hard::LeakageAlert &e) {
-        std::fprintf(stderr, "camosim: leakage alert: %s\n", e.what());
-        if (!e.dumpPath().empty())
-            std::fprintf(stderr, "camosim: diagnostic dump: %s\n",
-                         e.dumpPath().c_str());
-        return kExitLeakage;
+        return hard::kExitUsage;
     } catch (const hard::CamoError &e) {
-        std::fprintf(stderr, "camosim: %s error: %s\n",
-                     hard::errorKindName(e.kind()), e.what());
-        return kExitRuntime;
+        // A malformed --config file is a configuration problem, not a
+        // command-line one: no usage dump.
+        std::fprintf(stderr, "camosim: %s: %s\n",
+                     errorLead(e.kind()).c_str(), e.what());
+        if (!e.dumpPath().empty())
+            std::fprintf(stderr, "camosim: diagnostic dump: %s\n",
+                         e.dumpPath().c_str());
+        return hard::exitCode(e.kind());
     } catch (const std::exception &e) {
         std::fprintf(stderr, "camosim: %s\n", e.what());
-        return kExitRuntime;
+        return hard::kExitRuntime;
     }
 }

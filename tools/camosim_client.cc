@@ -19,12 +19,12 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/common/parse.h"
 #include "src/server/client.h"
 #include "src/server/protocol.h"
 
@@ -51,19 +51,6 @@ printUsage(std::FILE *out, const char *argv0)
         "  reload [--queue=N] [--timeout-ms=N] [--retries=N] "
         "[--cache=N]\n",
         argv0);
-}
-
-bool
-parseU64(const std::string &value, std::uint64_t *out)
-{
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || end == value.c_str() || *end != '\0' ||
-        value[0] == '-')
-        return false;
-    *out = v;
-    return true;
 }
 
 struct Cli
@@ -125,8 +112,8 @@ main(int argc, char **argv)
         const std::string name = arg.substr(2, eq - 2);
         const std::string value =
             eq == std::string::npos ? "" : arg.substr(eq + 1);
-        std::uint64_t n = 0;
-        const bool isNum = parseU64(value, &n);
+        // Every number travels as a JSON double: keep it exact.
+        const auto n = parseUnsigned(value, obs::json::kMaxExactInteger);
         if (name == "socket") {
             cli.socket = value;
         } else if (name == "config") {
@@ -137,42 +124,43 @@ main(int argc, char **argv)
             cli.spec.checkers = true;
         } else if (name == "wait") {
             cli.wait = true;
-            cli.waitMs = value.empty() ? 600000 : n;
-            if (!value.empty() && !isNum) {
+            cli.waitMs = value.empty() ? 600000 : n.value_or(0);
+            if (!value.empty() && !n) {
                 std::fprintf(stderr,
                              "camosim_client: bad --wait value\n");
                 return 2;
             }
-        } else if (!isNum) {
+        } else if (!n) {
             std::fprintf(
                 stderr,
-                "camosim_client: --%s needs an unsigned integer\n",
+                "camosim_client: --%s needs an unsigned integer "
+                "below 2^53\n",
                 name.c_str());
             return 2;
         } else if (name == "id") {
-            cli.id = n;
+            cli.id = *n;
             cli.haveId = true;
         } else if (name == "cycles") {
-            cli.spec.cycles = n;
+            cli.spec.cycles = *n;
         } else if (name == "warmup") {
-            cli.spec.warmup = n;
+            cli.spec.warmup = *n;
         } else if (name == "seed") {
-            cli.spec.seed = n;
+            cli.spec.seed = *n;
         } else if (name == "watchdog") {
-            cli.spec.watchdog = n;
+            cli.spec.watchdog = *n;
         } else if (name == "inject-seed") {
-            cli.spec.injectSeed = n;
+            cli.spec.injectSeed = *n;
         } else if (name == "timeout-ms") {
-            cli.spec.timeoutMs = n;
-            cli.limits["timeout_ms"] = n;
+            cli.spec.timeoutMs = *n;
+            cli.limits["timeout_ms"] = *n;
         } else if (name == "crash-attempts") {
-            cli.spec.crashAttempts = n;
+            cli.spec.crashAttempts = *n;
         } else if (name == "queue") {
-            cli.limits["max_queue"] = n;
+            cli.limits["max_queue"] = *n;
         } else if (name == "retries") {
-            cli.limits["retries"] = n;
+            cli.limits["retries"] = *n;
         } else if (name == "cache") {
-            cli.limits["cache_entries"] = n;
+            cli.limits["cache_entries"] = *n;
         } else {
             std::fprintf(stderr,
                          "camosim_client: unknown option '--%s'\n",

@@ -22,9 +22,11 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "src/common/build_info.h"
+#include "src/common/parse.h"
 #include "src/server/server.h"
 
 using namespace camo;
@@ -79,19 +81,6 @@ printUsage(std::FILE *out, const char *argv0)
 }
 
 bool
-parseU64(const std::string &value, std::uint64_t *out)
-{
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || end == value.c_str() || *end != '\0' ||
-        value[0] == '-')
-        return false;
-    *out = v;
-    return true;
-}
-
-bool
 parseArgs(int argc, char **argv, Options *opt, std::string *err)
 {
     for (int i = 1; i < argc; ++i) {
@@ -111,28 +100,32 @@ parseArgs(int argc, char **argv, Options *opt, std::string *err)
         }
         const std::string name = arg.substr(2, eq - 2);
         const std::string value = arg.substr(eq + 1);
-        std::uint64_t n = 0;
+        const std::uint64_t max =
+            name == "workers" || name == "retries"
+                ? std::numeric_limits<unsigned>::max()
+                : std::numeric_limits<std::uint64_t>::max();
+        const auto n = parseUnsigned(value, max);
         if (name == "socket") {
             opt->server.socketPath = value;
         } else if (name == "diag-dir") {
             opt->server.service.diagDir = value;
-        } else if (!parseU64(value, &n)) {
+        } else if (!n) {
             *err = "--" + name + "=" + value +
-                   " is not an unsigned integer";
+                   " is not an unsigned integer <= " +
+                   std::to_string(max);
             return false;
         } else if (name == "workers") {
-            opt->server.service.workers = static_cast<unsigned>(n);
+            opt->server.service.workers = static_cast<unsigned>(*n);
         } else if (name == "queue") {
-            opt->server.service.maxQueue = n;
+            opt->server.service.maxQueue = *n;
         } else if (name == "timeout-ms") {
-            opt->server.service.defaultTimeoutMs = n;
+            opt->server.service.defaultTimeoutMs = *n;
         } else if (name == "retries") {
-            opt->server.service.retry.attempts =
-                static_cast<unsigned>(n);
+            opt->server.service.retry.attempts = static_cast<unsigned>(*n);
         } else if (name == "cache") {
-            opt->server.service.maxCacheEntries = n;
+            opt->server.service.maxCacheEntries = *n;
         } else if (name == "terminal-jobs") {
-            opt->server.service.maxTerminalJobs = n;
+            opt->server.service.maxTerminalJobs = *n;
         } else {
             *err = "unknown option '--" + name + "'";
             return false;
