@@ -11,8 +11,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "src/common/logging.h"
+#include "src/common/parse.h"
 #include "src/sim/parallel.h"
 #include "src/sim/presets.h"
 #include "src/sim/runner.h"
@@ -29,8 +30,12 @@ int
 main(int argc, char **argv)
 {
     ga::GaConfig ga_cfg;
-    ga_cfg.generations = argc > 1 ? std::atoi(argv[1]) : 6;
-    ga_cfg.populationSize = argc > 2 ? std::atoi(argv[2]) : 12;
+    const auto gens = argc > 1 ? parseUnsigned(argv[1]) : std::uint64_t{6};
+    const auto pop = argc > 2 ? parseUnsigned(argv[2]) : std::uint64_t{12};
+    if (!gens || !pop)
+        camo_fatal("usage: bench_adaptive_runtime [GENERATIONS] [POPULATION]");
+    ga_cfg.generations = *gens;
+    ga_cfg.populationSize = *pop;
 
     std::printf("%s", sim::systemBanner(sim::paperConfig()).c_str());
     std::printf("# SIV-C online operation: static vs one-shot GA vs "

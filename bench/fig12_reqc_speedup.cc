@@ -12,10 +12,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "src/common/logging.h"
+#include "src/common/parse.h"
 #include "src/common/stats.h"
 #include "src/sim/parallel.h"
 #include "src/sim/presets.h"
@@ -63,8 +64,12 @@ burstyBudget(Cycle period)
 int
 main(int argc, char **argv)
 {
-    if (argc > 1)
-        g_cs_interval = static_cast<Cycle>(std::atol(argv[1]));
+    if (argc > 1) {
+        const auto interval = parseUnsigned(argv[1]);
+        if (!interval)
+            camo_fatal("usage: bench_fig12_reqc_speedup [CS_INTERVAL]");
+        g_cs_interval = *interval;
+    }
     std::printf("%s", sim::systemBanner(sim::paperConfig()).c_str());
     std::printf("# Figure 12: ReqC speedup vs static 1 GB/s rate "
                 "limiter (single program, same average budget)\n");

@@ -15,10 +15,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "src/common/logging.h"
+#include "src/common/parse.h"
 #include "src/common/stats.h"
 #include "src/sim/parallel.h"
 #include "src/sim/presets.h"
@@ -50,8 +51,12 @@ main(int argc, char **argv)
     ga::GaConfig ga_cfg;
     // Per-core genomes (4 cores x 20 genes) need a bigger search than
     // the shared-config default would.
-    ga_cfg.generations = argc > 1 ? std::atoi(argv[1]) : 8;
-    ga_cfg.populationSize = argc > 2 ? std::atoi(argv[2]) : 14;
+    const auto gens = argc > 1 ? parseUnsigned(argv[1]) : std::uint64_t{8};
+    const auto pop = argc > 2 ? parseUnsigned(argv[2]) : std::uint64_t{14};
+    if (!gens || !pop)
+        camo_fatal("usage: bench_fig13_bdc [GENERATIONS] [POPULATION]");
+    ga_cfg.generations = *gens;
+    ga_cfg.populationSize = *pop;
 
     std::printf("%s", sim::systemBanner(sim::paperConfig()).c_str());
     std::printf("# Figure 13: program average slowdown vs unprotected "

@@ -225,7 +225,7 @@ makePlan(std::uint64_t i, const Options &opt)
         p.spec.config = shapedConfig();
         p.spec.seed = unique;
         p.spec.inject = "corrupt-credits:at=1000";
-        p.spec.checkers = true;
+        p.spec.checkers = sim::CheckerMode::On;
         break;
       case Mix::WatchdogJob:
         p.spec.config = shapedConfig();

@@ -33,15 +33,6 @@ StatGroup::hasScalar(const std::string &name) const
     return scalars_.count(name) > 0;
 }
 
-void
-StatGroup::clear()
-{
-    counters_.clear();
-    scalars_.clear();
-    counterSlots_.clear();
-    scalarSlots_.clear();
-}
-
 double
 geomean(const std::vector<double> &values)
 {

@@ -95,8 +95,7 @@ class StatName
  * Writes take a StatName and resolve it to its map entry through a
  * small cache keyed by the name's pointer, so the hot path is a hash
  * probe instead of a string build plus a map walk. A key exists in
- * counters()/scalars() exactly when it has been written since the last
- * clear(): clear() empties the cache along with the maps, and a copy
+ * counters()/scalars() exactly when it has been written, and a copy
  * starts with an empty cache of its own.
  */
 class StatGroup
@@ -126,8 +125,6 @@ class StatGroup
     const Scalar &scalar(const std::string &name) const;
     bool hasScalar(const std::string &name) const;
 
-    void clear();
-
     /** Iteration access (the observability registry serializes us). */
     const std::map<std::string, std::uint64_t> &counters() const
     {
@@ -142,8 +139,9 @@ class StatGroup
     /**
      * Open-addressing map from a StatName's pointer to the map entry it
      * resolved to. std::map nodes never move, so the cached pointers
-     * stay valid until clear(). Copies and moves leave both sides
-     * empty: the pointers belong to the source group's maps.
+     * stay valid as long as the group's maps. Copies and moves leave
+     * both sides empty: the pointers belong to the source group's
+     * maps.
      */
     template <typename T>
     class SlotCache

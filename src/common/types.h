@@ -27,6 +27,13 @@ using ReqId = std::uint64_t;
  *  top 16 bits (core << 48), so core 65536 would reuse core 0's ids. */
 inline constexpr CoreId kMaxCores = CoreId{1} << 16;
 
+/** Most DRAM channels a machine may have. The address map
+ *  (src/dram/address.h) deals consecutive 64-byte lines round-robin
+ *  over the channels, so at 2^16 channels a 4 MiB sequential sweep
+ *  already puts a single line on each; more only adds controllers
+ *  that MemorySystem allocates up front and no stream fills. */
+inline constexpr std::uint32_t kMaxChannels = std::uint32_t{1} << 16;
+
 /** Sentinel for "no cycle" / "not yet happened". */
 inline constexpr Cycle kNoCycle = std::numeric_limits<Cycle>::max();
 

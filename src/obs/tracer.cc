@@ -1,7 +1,5 @@
 #include "src/obs/tracer.h"
 
-#include <cstring>
-#include <istream>
 #include <ostream>
 
 #include "src/common/logging.h"
@@ -76,116 +74,6 @@ JsonlTraceSink::write(const Event *events, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
         os_ << eventToJson(events[i]) << '\n';
-}
-
-void
-CsvTraceSink::write(const Event *events, std::size_t n)
-{
-    if (!wroteHeader_) {
-        os_ << "at,type,core,id,addr,arg\n";
-        wroteHeader_ = true;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const Event &e = events[i];
-        os_ << e.at << ',' << eventTypeName(e.type) << ',';
-        if (e.core != kNoCore)
-            os_ << e.core;
-        os_ << ',';
-        if (e.id != 0)
-            os_ << e.id;
-        os_ << ',';
-        if (e.addr != kNoAddr)
-            os_ << e.addr;
-        os_ << ',' << e.arg << '\n';
-    }
-}
-
-namespace {
-
-constexpr char kBinaryMagic[8] = {'C', 'A', 'M', 'O',
-                                  'T', 'R', 'C', '1'};
-/** type(1) + at(8) + core(4) + id(8) + addr(8) + arg(8). */
-constexpr std::size_t kBinaryRecordSize = 37;
-
-void
-putU64(char *dst, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        dst[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void
-putU32(char *dst, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        dst[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-std::uint64_t
-getU64(const char *src)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(src[i]))
-             << (8 * i);
-    return v;
-}
-
-std::uint32_t
-getU32(const char *src)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(src[i]))
-             << (8 * i);
-    return v;
-}
-
-} // namespace
-
-void
-BinaryTraceSink::write(const Event *events, std::size_t n)
-{
-    if (!wroteMagic_) {
-        os_.write(kBinaryMagic, sizeof(kBinaryMagic));
-        wroteMagic_ = true;
-    }
-    char rec[kBinaryRecordSize];
-    for (std::size_t i = 0; i < n; ++i) {
-        const Event &e = events[i];
-        rec[0] = static_cast<char>(e.type);
-        putU64(rec + 1, e.at);
-        putU32(rec + 9, e.core);
-        putU64(rec + 13, e.id);
-        putU64(rec + 21, e.addr);
-        putU64(rec + 29, e.arg);
-        os_.write(rec, sizeof(rec));
-    }
-}
-
-std::vector<Event>
-readBinaryTrace(std::istream &is)
-{
-    char magic[8];
-    std::vector<Event> out;
-    if (!is.read(magic, sizeof(magic)) ||
-        std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0) {
-        return out;
-    }
-    char rec[kBinaryRecordSize];
-    while (is.read(rec, sizeof(rec))) {
-        Event e;
-        e.type = static_cast<EventType>(rec[0]);
-        e.at = getU64(rec + 1);
-        e.core = getU32(rec + 9);
-        e.id = getU64(rec + 13);
-        e.addr = getU64(rec + 21);
-        e.arg = getU64(rec + 29);
-        out.push_back(e);
-    }
-    return out;
 }
 
 Tracer::Tracer(std::size_t capacity) : capacity_(capacity)

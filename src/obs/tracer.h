@@ -9,9 +9,8 @@
  * ring keeps the most recent `capacity` events (oldest dropped,
  * counted). The ring is allocated when tracing is first enabled.
  *
- * Sinks: JSONL (one object per line, the canonical analysis format),
- * CSV (loads directly into pandas/gnuplot for the Fig. 9/10 latency
- * timelines), and a compact fixed-width binary format.
+ * Sinks: JSONL (one object per line, the canonical analysis format)
+ * here, and the Chrome trace-event export in src/obs/chrome_trace.h.
  */
 
 #ifndef CAMO_OBS_TRACER_H
@@ -48,33 +47,6 @@ class JsonlTraceSink : public TraceSink
   private:
     std::ostream &os_;
 };
-
-/** Header + one comma-separated row per event. */
-class CsvTraceSink : public TraceSink
-{
-  public:
-    explicit CsvTraceSink(std::ostream &os) : os_(os) {}
-    void write(const Event *events, std::size_t n) override;
-
-  private:
-    std::ostream &os_;
-    bool wroteHeader_ = false;
-};
-
-/** Compact binary: "CAMOTRC1" magic then fixed 37-byte LE records. */
-class BinaryTraceSink : public TraceSink
-{
-  public:
-    explicit BinaryTraceSink(std::ostream &os) : os_(os) {}
-    void write(const Event *events, std::size_t n) override;
-
-  private:
-    std::ostream &os_;
-    bool wroteMagic_ = false;
-};
-
-/** Parse a BinaryTraceSink stream back into events (for tools/tests). */
-std::vector<Event> readBinaryTrace(std::istream &is);
 
 /** Render one event as a single-line JSON object (no newline). */
 std::string eventToJson(const Event &e);

@@ -6,9 +6,8 @@
 #include "src/hard/error.h"
 #include "src/security/covert_receiver.h"
 #include "src/security/mutual_information.h"
-#include "src/sim/runner.h"
-#include "src/sim/plan.h"
-#include "src/sim/system.h"
+#include "src/sim/run_spec.h"
+#include "src/sim/topology.h"
 #include "src/trace/covert.h"
 
 namespace camo::scenario {
@@ -168,11 +167,19 @@ ChannelMeasurement
 measureOne(const ScenarioSpec &spec, const std::string &topology_json,
            Cycle cycles, RunCapture &cap)
 {
-    sim::TopologyConfig topo = sim::parseTopology(topology_json);
-    topo.system.recordLatencies = true; // the probe's observations
-    topo.system.recordTraffic = true;   // the victim's intrinsic events
-    sim::System sys(sim::SystemPlan(topo.system, topo.workloads));
-    cap.metrics = sim::runAndMeasure(sys, cycles);
+    sim::RunSpec run;
+    run.config = sim::parseTopology(topology_json);
+    run.cycles = cycles;
+    run.warmup = 0;
+    sim::RunHooks hooks;
+    hooks.configure = [](sim::SystemConfig &cfg,
+                         const std::vector<std::string> &) {
+        cfg.recordLatencies = true; // the probe's observations
+        cfg.recordTraffic = true;   // the victim's intrinsic events
+    };
+    const sim::SpecRun r = sim::runSpec(run, hooks);
+    sim::System &sys = *r.system;
+    cap.metrics = r.metrics;
     cap.probeLatencies = sys.latencyLog(spec.probeCore);
     cap.victimIntrinsic = sys.intrinsicMonitor(spec.victimCore).events();
 

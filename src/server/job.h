@@ -4,12 +4,13 @@
  * for (JobSpec), every state a job can terminate in (JobState), and
  * the cache key that makes identical asks share one execution.
  *
- * A JobSpec is deliberately the same configuration surface as a
- * one-shot `camosim --config=FILE --stats-json` run: a topology JSON
- * document plus the execution flags (cycles, warmup, seed override,
- * watchdog, checkers, fault-injection spec). A job that runs clean
- * through the daemon produces a result byte-identical to that CLI
- * invocation — the chaos soak pins this.
+ * A JobSpec is a sim::RunSpec (src/sim/run_spec.h) — the run
+ * description `camosim --config=FILE --stats-json` builds from its
+ * flags — plus two daemon-only fields: the wall-clock deadline and
+ * the chaos soak's crash hook. The worker runs the RunSpec through
+ * the same sim::runSpec() as camosim, so a job that runs clean
+ * produces a result byte-identical to that CLI invocation — the
+ * chaos soak pins this.
  */
 
 #ifndef CAMO_SERVER_JOB_H
@@ -18,33 +19,14 @@
 #include <cstdint>
 #include <string>
 
-#include "src/common/types.h"
 #include "src/obs/json.h"
+#include "src/sim/run_spec.h"
 
 namespace camo::server {
 
-/** What a client submits: topology + execution flags. */
-struct JobSpec
+/** What a client submits: a run description plus daemon limits. */
+struct JobSpec : sim::RunSpec
 {
-    /** Topology document (src/sim/topology.h schema). Required,
-     *  supplied either directly as "config" or by naming a registered
-     *  attack scenario as "scenario" ("NAME" or "NAME:shaped", see
-     *  src/scenario/scenario.h), which resolves to its embedded
-     *  topology before the job is queued. */
-    obs::json::Value config;
-    Cycle cycles = 1000000;
-    Cycle warmup = 50000;
-    /** 0 = use the topology's seed. */
-    std::uint64_t seed = 0;
-    /** Watchdog window in cycles (0 = off); fires as a structured
-     *  watchdog failure, never as a daemon problem. */
-    Cycle watchdog = 0;
-    bool checkers = false;
-    /** Fault-injection campaign (hard::FaultPlan spec string). The
-     *  worker kinds (worker-kill / worker-stall) hit the daemon's
-     *  forked worker for this job, keyed by job id. */
-    std::string inject;
-    std::uint64_t injectSeed = 0; ///< 0 = effective seed
     /** Wall-clock deadline in milliseconds (0 = server default). */
     std::uint64_t timeoutMs = 0;
     /** Test hook for the chaos soak: the worker dies with a real
@@ -53,10 +35,11 @@ struct JobSpec
     std::uint64_t crashAttempts = 0;
 
     /**
-     * Parse from the "job" object of a submit request. Unknown keys
-     * and wrong types are errors (returned in *error), so a typo'd
-     * flag fails the submission instead of silently running the
-     * wrong experiment.
+     * Parse from the "job" object of a submit request: the RunSpec
+     * keys (sim::RunSpec::fromJson, equally strict) plus
+     * "timeout_ms", "crash_attempts", and "scenario" ("NAME" or
+     * "NAME:shaped", src/scenario/scenario.h) as an alternative to
+     * "config" that resolves to the scenario's embedded topology.
      */
     static bool fromJson(const obs::json::Value &doc, JobSpec *out,
                          std::string *error);
@@ -65,10 +48,10 @@ struct JobSpec
     obs::json::Value toJson() const;
 
     /**
-     * Deterministic cache identity: the compact dump of every
-     * execution-affecting field (json objects are ordered maps, so
-     * the dump is canonical). Two specs with equal keys produce
-     * byte-identical results, so one may serve the other's answer.
+     * Cache identity: toJson() without timeout_ms, i.e. the canonical
+     * RunSpec JSON plus crash_attempts when set. Two specs with equal
+     * keys produce byte-identical results, so one may serve the
+     * other's answer.
      */
     std::string cacheKey() const;
 };

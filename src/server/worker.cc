@@ -3,19 +3,14 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <memory>
 
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "src/hard/error.h"
-#include "src/hard/fault_injection.h"
 #include "src/server/protocol.h"
 #include "src/sim/parallel.h"
-#include "src/sim/plan.h"
-#include "src/sim/runner.h"
-#include "src/sim/topology.h"
 
 namespace camo::server {
 
@@ -50,68 +45,36 @@ runJobPayload(const JobSpec &spec, std::uint64_t job_id,
               unsigned attempt, const std::string &diag_dir)
 {
     try {
-        const sim::TopologyConfig topo =
-            sim::topologyFromJson(spec.config);
-        sim::SystemConfig cfg = topo.system;
-        cfg.numCores =
-            static_cast<std::uint32_t>(topo.workloads.size());
-        const std::uint64_t base = spec.seed ? spec.seed : cfg.seed;
-        // Same re-derivation as runConfigsParallel: a retried attempt
-        // must not replay the RNG sequence that just faulted, and the
-        // result must equal a one-shot run at the re-derived seed.
-        cfg.seed = attempt == 0
-                       ? base
-                       : sim::deriveSeed(base, sim::kRetrySeedStream,
-                                         attempt);
-
-        std::unique_ptr<hard::FaultInjector> injector;
-        if (!spec.inject.empty()) {
-            const hard::FaultPlan plan = hard::FaultPlan::parse(
-                spec.inject,
-                spec.injectSeed ? spec.injectSeed : cfg.seed);
-            injector = std::make_unique<hard::FaultInjector>(plan);
+        sim::RunSpec run = spec;
+        if (attempt > 0) {
+            // Same re-derivation as runConfigsParallel: a retried
+            // attempt must not replay the RNG sequence that just
+            // faulted, and the result must equal a one-shot run at
+            // the re-derived seed.
+            run.seed = sim::deriveSeed(spec.topology().system.seed,
+                                       sim::kRetrySeedStream, attempt);
+        }
+        sim::RunHooks hooks;
+        hooks.attach = [&](sim::System &, hard::FaultInjector *injector) {
             // Worker faults select by job id, like the in-process
             // engine selects by batch index.
-            injector->maybeWorkerFault(job_id, attempt);
-        }
-        if (attempt < spec.crashAttempts) {
-            // Chaos-soak hook: a genuine wild store, so the crash
-            // path is exercised by a real SIGSEGV rather than a
-            // simulated one.
-            volatile int *wild = nullptr;
-            *wild = 0xDEAD;
-        }
-
-        // Compiled-plan path: same construction the sweep engine
-        // uses, so daemon results stay byte-identical to the CLI's
-        // while skipping the eager tracer-ring allocation.
-        const sim::SystemPlan plan(cfg, topo.workloads);
-        const std::unique_ptr<sim::System> system_owner =
-            plan.instantiate();
-        sim::System &system = *system_owner;
-        if (!diag_dir.empty())
-            system.setDiagnosticDir(diag_dir);
-        if (spec.checkers) {
-            hard::CheckerConfig hc;
-            system.enableCheckers(hc);
-        }
-        if (spec.watchdog > 0) {
-            hard::WatchdogConfig wc;
-            wc.window = spec.watchdog;
-            system.enableWatchdog(wc);
-        }
-        if (injector)
-            system.setFaultInjector(injector.get());
-
-        sim::runAndMeasure(system, spec.cycles, spec.warmup);
-        if (spec.checkers)
-            system.checkForLeaks();
+            if (injector)
+                injector->maybeWorkerFault(job_id, attempt);
+            if (attempt < spec.crashAttempts) {
+                // Chaos-soak hook: a genuine wild store, so the crash
+                // path is exercised by a real SIGSEGV rather than a
+                // simulated one.
+                volatile int *wild = nullptr;
+                *wild = 0xDEAD;
+            }
+        };
+        const sim::SpecRun r = sim::runSpec(run, hooks, diag_dir);
 
         obs::json::Value payload = obs::json::Value::makeObject();
         payload["code"] = hard::kExitOk;
         // Byte-for-byte what `camosim --stats-json` writes.
         payload["result"] =
-            sim::summaryJson(system, topo.workloads, false).dump(2) +
+            sim::summaryJson(*r.system, r.workloads, false).dump(2) +
             "\n";
         return payload;
     } catch (const hard::CamoError &e) {

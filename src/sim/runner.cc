@@ -14,6 +14,33 @@ namespace camo::sim {
 
 namespace {
 
+/** The checks both GA entry points run before building an optimizer.
+ *  @throws hard::ConfigError naming the bad value */
+void
+checkGaInputs(const char *which, const SystemConfig &cfg,
+              const ga::GaConfig &ga_cfg)
+{
+    if (cfg.mitigation != Mitigation::BDC &&
+        cfg.mitigation != Mitigation::ReqC &&
+        cfg.mitigation != Mitigation::RespC) {
+        throw hard::ConfigError(
+            detail::fmt(which, " GA needs a Camouflage mitigation "
+                        "(ReqC, RespC, or BDC), got ",
+                        mitigationName(cfg.mitigation)));
+    }
+    if (ga_cfg.populationSize < 2) {
+        throw hard::ConfigError(detail::fmt(
+            "GA population must be >= 2, got ", ga_cfg.populationSize));
+    }
+    if (ga_cfg.eliteCount >= ga_cfg.populationSize) {
+        throw hard::ConfigError(detail::fmt(
+            "GA elite count ", ga_cfg.eliteCount,
+            " must be below the population ", ga_cfg.populationSize));
+    }
+    if (ga_cfg.tournamentSize < 1)
+        throw hard::ConfigError("GA tournament size must be >= 1, got 0");
+}
+
 /**
  * Seed candidates 0/1 with the naive baselines so the GA never
  * regresses below them (elitism keeps them alive): a half-budget
@@ -195,14 +222,7 @@ OnlineGaResult
 tuneOnline(System &system, const SystemConfig &cfg,
            const ga::GaConfig &ga_cfg, Cycle epoch_cycles)
 {
-    if (cfg.mitigation != Mitigation::BDC &&
-        cfg.mitigation != Mitigation::ReqC &&
-        cfg.mitigation != Mitigation::RespC) {
-        throw hard::ConfigError(
-            detail::fmt("online GA needs a Camouflage mitigation "
-                        "(ReqC, RespC, or BDC), got ",
-                        mitigationName(cfg.mitigation)));
-    }
+    checkGaInputs("online", cfg, ga_cfg);
     const bool both = cfg.mitigation == Mitigation::BDC;
     const std::size_t bins = cfg.reqBins.numBins();
     const std::size_t slices = both ? 2 : 1;
@@ -299,14 +319,7 @@ runOfflineGa(const SystemConfig &cfg,
              const ga::GaConfig &ga_cfg, Cycle epoch_cycles,
              unsigned jobs)
 {
-    if (cfg.mitigation != Mitigation::BDC &&
-        cfg.mitigation != Mitigation::ReqC &&
-        cfg.mitigation != Mitigation::RespC) {
-        throw hard::ConfigError(
-            detail::fmt("offline GA needs a Camouflage mitigation "
-                        "(ReqC, RespC, or BDC), got ",
-                        mitigationName(cfg.mitigation)));
-    }
+    checkGaInputs("offline", cfg, ga_cfg);
     const std::size_t bins = cfg.reqBins.numBins();
     const bool both = cfg.mitigation == Mitigation::BDC;
     const std::size_t slices = both ? 2 : 1;

@@ -57,6 +57,11 @@ validateSystemConfig(const SystemConfig &cfg,
     }
     if (cfg.mc.org.channels < 1)
         throw hard::ConfigError("channels must be >= 1, got 0");
+    if (cfg.mc.org.channels > kMaxChannels) {
+        throw hard::ConfigError(detail::fmt("channels must be <= ",
+                                            kMaxChannels, ", got ",
+                                            cfg.mc.org.channels));
+    }
     if (num_workloads != cfg.numCores) {
         throw hard::ConfigError(
             detail::fmt("expected ", cfg.numCores, " workloads, got ",

@@ -139,8 +139,8 @@ struct PlanOverrides
 };
 
 /** The structural checks SystemPlan and System (after applying
- *  PlanOverrides) run: core count (1..kMaxCores), channel count,
- *  per-core vector sizes.
+ *  PlanOverrides) run: core count (1..kMaxCores), channel count
+ *  (1..kMaxChannels), per-core vector sizes.
  *  @throws hard::ConfigError */
 void validateSystemConfig(const SystemConfig &cfg,
                           std::size_t num_workloads);

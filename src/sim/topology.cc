@@ -260,16 +260,17 @@ topologyFromJson(const Value &doc)
     return topo;
 }
 
-TopologyConfig
+Value
 parseTopology(const std::string &text)
 {
     auto doc = obs::json::tryParse(text);
     if (!doc)
         throw hard::ConfigError("topology: malformed JSON");
-    return topologyFromJson(*doc);
+    topologyFromJson(*doc);
+    return std::move(*doc);
 }
 
-TopologyConfig
+Value
 loadTopology(const std::string &path)
 {
     std::ifstream is(path);

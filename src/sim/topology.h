@@ -52,11 +52,12 @@ std::optional<Mitigation> mitigationFromName(const std::string &name);
  *  Throws hard::ConfigError naming the offending key on any problem. */
 TopologyConfig topologyFromJson(const obs::json::Value &doc);
 
-/** Parse JSON text into a TopologyConfig (ConfigError on bad JSON). */
-TopologyConfig parseTopology(const std::string &text);
+/** Parse JSON text into a topology document, checked with
+ *  topologyFromJson (ConfigError on bad JSON or a bad topology). */
+obs::json::Value parseTopology(const std::string &text);
 
-/** Read and parse a JSON topology file. */
-TopologyConfig loadTopology(const std::string &path);
+/** Read and parse a JSON topology file (see parseTopology). */
+obs::json::Value loadTopology(const std::string &path);
 
 } // namespace camo::sim
 

@@ -153,4 +153,17 @@ TEST(ExitCodes, UsageAndConfigAreDistinguished)
     EXPECT_EQ(runCamosim({"--config=" + huge_channels, "--cycles=1000"}),
               3);
     EXPECT_EQ(runCamosim({"--config=" + huge_cores, "--cycles=1000"}), 3);
+    // Channels are capped like cores, before any controller exists.
+    EXPECT_EQ(runCamosim({"--channels=65537", "--cycles=1000"}), 3);
+    // GA sizes are checked where the GA reads them: a population of 2
+    // leaves no room beside the 2 elites, 1 cannot breed.
+    for (const char *ga : {"--ga", "--ga-offline"}) {
+        for (const char *pop : {"--ga-pop=2", "--ga-pop=1"}) {
+            EXPECT_EQ(runCamosim({"--workloads=astar,astar",
+                                  "--mitigation=bdc", ga, "--ga-gens=1",
+                                  pop, "--cycles=1000"}),
+                      3)
+                << ga << " " << pop;
+        }
+    }
 }

@@ -372,7 +372,7 @@ TEST(FastForwardSoundness, StatsTreeIdenticalUnderRandomSeeds)
 
 TEST(Topology, ParsesFullDocument)
 {
-    const TopologyConfig topo = parseTopology(R"({
+    const TopologyConfig topo = topologyFromJson(parseTopology(R"({
         "cores": 2,
         "channels": 3,
         "mitigation": "reqc",
@@ -384,7 +384,7 @@ TEST(Topology, ParsesFullDocument)
         "randomize_timing": true,
         "fast_forward": false,
         "noc": {"latency": 8, "ingress_cap": 4, "egress_cap": 12}
-    })");
+    })"));
     EXPECT_EQ(topo.system.numCores, 2u);
     EXPECT_EQ(topo.system.mc.org.channels, 3u);
     EXPECT_EQ(topo.system.mitigation, Mitigation::ReqC);
@@ -404,8 +404,8 @@ TEST(Topology, ParsesFullDocument)
 
 TEST(Topology, ReplicatedWorkloadFillsAllCores)
 {
-    const TopologyConfig topo =
-        parseTopology(R"({"cores": 6, "workload": "astar"})");
+    const TopologyConfig topo = topologyFromJson(
+        parseTopology(R"({"cores": 6, "workload": "astar"})"));
     EXPECT_EQ(topo.workloads.size(), 6u);
     EXPECT_EQ(topo.system.numCores, 6u);
 }
@@ -450,13 +450,13 @@ TEST(Topology, RejectsBadDocuments)
 
 TEST(Topology, EightCoresFourChannelsRunEndToEnd)
 {
-    const TopologyConfig topo = parseTopology(R"({
+    const TopologyConfig topo = topologyFromJson(parseTopology(R"({
         "cores": 8,
         "channels": 4,
         "mitigation": "bdc",
         "seed": 3,
         "workload": "astar"
-    })");
+    })"));
     System sys(SystemPlan(topo.system, topo.workloads));
     EXPECT_EQ(sys.numCores(), 8u);
     EXPECT_EQ(sys.memory().numChannels(), 4u);

@@ -156,45 +156,6 @@ TEST(Tracer, SinkReceivesEveryEvent)
     EXPECT_EQ(lines, 33u);
 }
 
-TEST(Tracer, BinarySinkRoundTrips)
-{
-    std::stringstream ss;
-    obs::Tracer t(8);
-    t.setSink(std::make_unique<obs::BinaryTraceSink>(ss));
-    t.setEnabled(true);
-    std::vector<Event> sent;
-    for (Cycle c = 0; c < 20; ++c) {
-        sent.push_back(makeEvent(c * 3, EventType::RespShaperFake,
-                                 static_cast<CoreId>(c % 4)));
-        t.emit(sent.back());
-    }
-    t.flush();
-
-    const auto got = obs::readBinaryTrace(ss);
-    ASSERT_EQ(got.size(), sent.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].at, sent[i].at);
-        EXPECT_EQ(got[i].type, sent[i].type);
-        EXPECT_EQ(got[i].core, sent[i].core);
-        EXPECT_EQ(got[i].id, sent[i].id);
-        EXPECT_EQ(got[i].addr, sent[i].addr);
-        EXPECT_EQ(got[i].arg, sent[i].arg);
-    }
-}
-
-TEST(Tracer, CsvSinkWritesHeaderAndRows)
-{
-    std::ostringstream os;
-    obs::Tracer t(8);
-    t.setSink(std::make_unique<obs::CsvTraceSink>(os));
-    t.setEnabled(true);
-    t.emit(makeEvent(5, EventType::PriorityBoost, 2));
-    t.flush();
-    const std::string out = os.str();
-    EXPECT_EQ(out.find("at,type,core,id,addr,arg\n"), 0u);
-    EXPECT_NE(out.find("5,priority_boost,2,"), std::string::npos);
-}
-
 TEST(Tracer, EventToJsonOmitsAbsentFields)
 {
     Event e;

@@ -346,6 +346,14 @@ TEST(SystemPlan, RejectsMalformedInputsLikeSystemDoes)
     EXPECT_THROW(sim::validateSystemConfig(wide, 65537),
                  hard::ConfigError);
 
+    // Channels are capped the same way, before any controller exists.
+    sim::SystemConfig channels = cfg;
+    channels.mc.org.channels = kMaxChannels;
+    EXPECT_NO_THROW(sim::validateSystemConfig(channels, cfg.numCores));
+    channels.mc.org.channels = kMaxChannels + 1;
+    EXPECT_THROW(sim::validateSystemConfig(channels, cfg.numCores),
+                 hard::ConfigError);
+
     // An empty per-core override means "use the shared bins".
     sim::PlanOverrides empty;
     empty.reqBinsPerCore = std::vector<shaper::BinConfig>{};

@@ -438,9 +438,9 @@ TEST(TraceWorkloads, WebDiurnalStreamsResponseBursts)
 
 TEST(TraceWorkloads, WebDiurnalSelectableFromTopologyJson)
 {
-    const sim::TopologyConfig topo = sim::parseTopology(
+    const sim::TopologyConfig topo = sim::topologyFromJson(sim::parseTopology(
         "{\"workloads\": [\"webdiurnal:4800\", \"mcf\"], "
-        "\"mitigation\": \"cs\"}");
+        "\"mitigation\": \"cs\"}"));
     ASSERT_EQ(topo.workloads.size(), 2u);
     EXPECT_EQ(topo.workloads[0], "webdiurnal:4800");
 
@@ -569,6 +569,35 @@ TEST(ScenarioRegistry, EmbeddedTopologiesMatchShippedFiles)
     }
 }
 
+TEST(RunSpecModel, RoundTripsEveryShippedTopology)
+{
+    for (const char *file :
+         {"rowhammer_trr.json", "rowhammer_trr_shaped.json",
+          "pim_covert.json", "pim_covert_shaped.json",
+          "trace_replay.json", "trace_replay_shaped.json"}) {
+        sim::RunSpec x;
+        x.config =
+            sim::loadTopology(std::string(CAMO_TOPOLOGY_DIR) + "/" + file);
+        x.cycles = 60000;
+        x.warmup = 5000;
+        x.seed = 11;
+        x.watchdog = 100000;
+        x.checkers = sim::CheckerMode::Recover;
+        x.inject = "corrupt-credits:at=1000";
+        x.injectSeed = 3;
+        sim::RunSpec back;
+        std::string err;
+        ASSERT_TRUE(sim::RunSpec::fromJson(x.toJson(), &back, &err))
+            << file << ": " << err;
+        EXPECT_TRUE(back == x) << file;
+        // Defaults round-trip too (they are left out of the JSON).
+        sim::RunSpec plain;
+        plain.config = x.config;
+        ASSERT_TRUE(sim::RunSpec::fromJson(plain.toJson(), &back, &err));
+        EXPECT_TRUE(back == plain) << file;
+    }
+}
+
 TEST(ScenarioRegistry, EveryTopologyParses)
 {
     for (const auto &s : scenario::scenarios()) {
@@ -603,8 +632,8 @@ TEST(ScenarioRegistry, UnknownRefsRaiseConfigError)
 
 TEST(ScenarioRegistry, RowHammerTopologyEnablesDefense)
 {
-    const sim::TopologyConfig topo = sim::parseTopology(
-        scenario::scenarioTopologyJson("rowhammer-trr"));
+    const sim::TopologyConfig topo = sim::topologyFromJson(sim::parseTopology(
+        scenario::scenarioTopologyJson("rowhammer-trr")));
     EXPECT_TRUE(topo.system.mc.rowhammer.enabled);
     EXPECT_EQ(topo.system.mc.rowhammer.actThreshold, 16u);
     EXPECT_EQ(topo.system.mc.rowhammer.rfmDramCycles, 180u);
@@ -651,8 +680,8 @@ TEST(ScenarioRegistry, JobSpecAcceptsScenarioField)
 
 TEST(ScenarioDeterminism, TraceRunsBitExactAcrossWorkerCounts)
 {
-    const sim::TopologyConfig topo = sim::parseTopology(
-        scenario::scenarioTopologyJson("trace-replay"));
+    const sim::TopologyConfig topo = sim::topologyFromJson(sim::parseTopology(
+        scenario::scenarioTopologyJson("trace-replay")));
     std::vector<sim::SimJob> batch;
     for (std::uint64_t s = 0; s < 3; ++s) {
         sim::SystemConfig cfg = topo.system;

@@ -1,8 +1,8 @@
 /**
  * @file
  * In-process tests for the camosimd experiment service: the wire
- * protocol (framing + hostile inputs), the JobSpec model (strict
- * parsing, cache identity), the forked worker (crash isolation,
+ * protocol (framing + hostile inputs), the RunSpec/JobSpec model
+ * (strict parsing, cache identity), the forked worker (crash isolation,
  * deadline, cancel, retry seed re-derivation), and the Service state
  * machine (cache, single-flight, shed, cancel, drain, reload,
  * exactly-one-terminal-state accounting).
@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -136,55 +139,64 @@ TEST(Protocol, OversizeAndTruncatedFramesAreClassified)
     ::close(fds[1]);
 }
 
-// ------------------------------------------------------- JobSpec
+// ------------------------------------------------------- RunSpec
 
-TEST(JobSpecModel, FromJsonIsStrict)
+TEST(RunSpecModel, FromJsonIsStrict)
 {
     obs::json::Value doc = obs::json::Value::makeObject();
     doc["config"] = smallConfig();
     doc["cycles"] = std::uint64_t{5000};
-    JobSpec spec;
+    doc["checkers"] = "recover";
+    sim::RunSpec spec;
     std::string err;
-    ASSERT_TRUE(JobSpec::fromJson(doc, &spec, &err)) << err;
+    ASSERT_TRUE(sim::RunSpec::fromJson(doc, &spec, &err)) << err;
     EXPECT_EQ(spec.cycles, 5000u);
+    EXPECT_EQ(spec.checkers, sim::CheckerMode::Recover);
 
     // Unknown keys are rejected: a typo must not silently run the
     // wrong experiment.
     doc["cylces"] = std::uint64_t{1};
-    EXPECT_FALSE(JobSpec::fromJson(doc, &spec, &err));
+    EXPECT_FALSE(sim::RunSpec::fromJson(doc, &spec, &err));
     EXPECT_NE(err.find("cylces"), std::string::npos);
 
-    // So is a knob no worker reads: setting it must fail loudly
+    // So is a knob nothing reads: setting it must fail loudly
     // instead of silently doing nothing.
     obs::json::Value dead = obs::json::Value::makeObject();
     dead["config"] = smallConfig();
     dead["shard_procs"] = std::uint64_t{2};
-    EXPECT_FALSE(JobSpec::fromJson(dead, &spec, &err));
-    EXPECT_EQ(err, "unknown job field 'shard_procs'");
+    EXPECT_FALSE(sim::RunSpec::fromJson(dead, &spec, &err));
+    EXPECT_EQ(err, "unknown field 'shard_procs'");
 
     // Wrong types are rejected.
     obs::json::Value bad = obs::json::Value::makeObject();
     bad["config"] = smallConfig();
     bad["cycles"] = "many";
-    EXPECT_FALSE(JobSpec::fromJson(bad, &spec, &err));
+    EXPECT_FALSE(sim::RunSpec::fromJson(bad, &spec, &err));
+    bad["cycles"] = std::uint64_t{5000};
+    bad["checkers"] = "on";
+    EXPECT_FALSE(sim::RunSpec::fromJson(bad, &spec, &err));
+    EXPECT_NE(err.find("checkers"), std::string::npos);
 
     // So are numbers that are not exact non-negative integers: a
     // fraction, and a seed 2^53 + 1 that would run as 2^53.
+    bad["checkers"] = true;
     bad["cycles"] = 1.5;
-    EXPECT_FALSE(JobSpec::fromJson(bad, &spec, &err));
+    EXPECT_FALSE(sim::RunSpec::fromJson(bad, &spec, &err));
     bad["cycles"] = obs::json::parse("9007199254740993");
-    EXPECT_FALSE(JobSpec::fromJson(bad, &spec, &err));
+    EXPECT_FALSE(sim::RunSpec::fromJson(bad, &spec, &err));
 
     // config is required.
     obs::json::Value empty = obs::json::Value::makeObject();
-    EXPECT_FALSE(JobSpec::fromJson(empty, &spec, &err));
+    EXPECT_FALSE(sim::RunSpec::fromJson(empty, &spec, &err));
 }
+
+// ------------------------------------------------------- JobSpec
 
 TEST(JobSpecModel, ToJsonRoundTrips)
 {
     JobSpec spec = smallSpec(9);
     spec.watchdog = 12345;
-    spec.checkers = true;
+    spec.checkers = sim::CheckerMode::On;
     spec.inject = "drop-resp:rate=0.001";
     spec.timeoutMs = 2500;
     JobSpec back;
@@ -212,7 +224,7 @@ TEST(JobSpecModel, CacheKeyCoversExecutionAffectingFieldsOnly)
     b.cycles = kCycles + 1;
     EXPECT_NE(a.cacheKey(), b.cacheKey());
     b = smallSpec(1);
-    b.checkers = true;
+    b.checkers = sim::CheckerMode::On;
     EXPECT_NE(a.cacheKey(), b.cacheKey());
     b = smallSpec(1);
     b.crashAttempts = 1; // changes which attempt succeeds => seed
@@ -260,7 +272,7 @@ TEST(Worker, PayloadClassifiesTypedErrors)
     EXPECT_EQ(core_err.find("kind")->asString(), "config");
 
     JobSpec invariant = smallSpec(3);
-    invariant.checkers = true;
+    invariant.checkers = sim::CheckerMode::On;
     invariant.inject = "corrupt-credits:at=1000";
     invariant.cycles = 40000;
     const obs::json::Value inv = runJobPayload(invariant, 1, 0, "");
@@ -273,6 +285,48 @@ TEST(Worker, PayloadClassifiesTypedErrors)
     const obs::json::Value wd = runJobPayload(wedged, 1, 0, "");
     EXPECT_EQ(wd.find("code")->asNumber(), 5.0);
     EXPECT_EQ(wd.find("kind")->asString(), "watchdog");
+}
+
+TEST(Worker, PayloadMatchesCamosimCheckersRecover)
+{
+    // A job asks for the same run as the camosim command line below:
+    // both go through sim::runSpec, so the result bytes must agree,
+    // checker mode and fault campaign included.
+    JobSpec spec = smallSpec();
+    spec.cycles = 40000;
+    spec.checkers = sim::CheckerMode::Recover;
+    spec.inject = "corrupt-credits:at=1000";
+    std::string err;
+    JobSpec parsed;
+    ASSERT_TRUE(JobSpec::fromJson(
+        obs::json::parse(R"({"checkers": "recover",
+                            "inject": "corrupt-credits:at=1000",
+                            "cycles": 40000, "warmup": 1000,
+                            "config": {"workloads": ["mcf", "astar"],
+                                       "mitigation": "bdc"}})"),
+        &parsed, &err))
+        << err;
+    ASSERT_EQ(parsed.cacheKey(), spec.cacheKey());
+    const obs::json::Value payload = runJobPayload(parsed, 1, 0, "");
+    ASSERT_NE(payload.find("result"), nullptr) << payload.dump();
+
+    const std::string dir = ::testing::TempDir();
+    const std::string config = dir + "/drift_config.json";
+    const std::string stats = dir + "/drift_stats.json";
+    {
+        std::ofstream os(config);
+        os << smallConfig().dump();
+    }
+    const std::string cmd =
+        std::string(CAMO_CAMOSIM_PATH) + " --config=" + config +
+        " --cycles=40000 --warmup=1000 --checkers=recover"
+        " --inject=corrupt-credits:at=1000 --stats-json=" +
+        stats + " > /dev/null 2>&1";
+    ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+    std::ifstream is(stats);
+    std::ostringstream cli;
+    cli << is.rdbuf();
+    EXPECT_EQ(payload.find("result")->asString(), cli.str());
 }
 
 TEST(Worker, ForkedCrashIsIsolatedAndClassified)

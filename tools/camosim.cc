@@ -45,18 +45,15 @@
 #include "src/common/logging.h"
 #include "src/common/parse.h"
 #include "src/hard/error.h"
-#include "src/hard/fault_injection.h"
 #include "src/obs/benchdiff.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/leakmon.h"
 #include "src/obs/prof.h"
-#include "src/obs/registry.h"
 #include "src/obs/tracer.h"
 #include "src/scenario/scenario.h"
 #include "src/sim/parallel.h"
-#include "src/sim/plan.h"
 #include "src/sim/presets.h"
-#include "src/sim/runner.h"
+#include "src/sim/run_spec.h"
 #include "src/sim/topology.h"
 #include "src/trace/workloads.h"
 
@@ -73,37 +70,28 @@ struct UsageError : std::runtime_error
     }
 };
 
+/** camosim's command line: the run it describes plus what only the
+ *  CLI does around it (GA tuning, seed sweeps, output files). */
 struct Options
 {
-    std::vector<std::string> workloads;
-    sim::Mitigation mitigation = sim::Mitigation::None;
-    Cycle cycles = 1000000;
-    Cycle warmup = 50000;
-    std::uint64_t seed = 1;
-    std::uint32_t channels = 1;
-    bool fakeTraffic = true;
-    bool randomizeTiming = false;
+    /** --config/--scenario supply run.config (default: the paper
+     *  machine running mcf,astar x3); the machine flags edit it. */
+    sim::RunSpec run;
     bool csv = false;
     bool runGa = false;
     bool gaOffline = false;
     std::size_t gaGenerations = 8;
     std::size_t gaPopulation = 14;
-    std::vector<bool> shapeCores; // empty = all
     unsigned jobs = 0;            // 0 = defaultJobs()
     std::uint32_t sweepSeeds = 0; // 0 = single run
-    bool fastForward = true;
     bool help = false;
     bool version = false;
     bool listScenarios = false;
     std::string scenarioRef; ///< --scenario=NAME[:open|:shaped]
-
-    /** Loaded by --config or --scenario; its SystemConfig is the base
-     *  every other flag overrides. */
-    std::optional<sim::TopologyConfig> topo;
+    bool haveConfig = false; ///< --config was given
 
     // Observability outputs.
     std::string traceFile;
-    std::string traceFormat; // empty = unset (default jsonl)
     std::string statsJsonFile;
     Cycle intervalStats = 0;
     std::string intervalCsvFile;
@@ -122,12 +110,6 @@ struct Options
     std::uint32_t leakmonCore = 0;
     bool leakmonCoreSet = false;
 
-    // Hardening layer.
-    bool checkers = false;
-    bool checkersRecover = false;
-    Cycle watchdogWindow = 0; // 0 = off
-    std::string injectSpec;
-    std::uint64_t injectSeed = 0; // 0 = use --seed
     std::string diagDir; // "" = dumps go to stderr
 };
 
@@ -192,36 +174,13 @@ struct FlagSpec
     std::function<void(Options &, const std::string &)> apply;
 };
 
-/** --config/--scenario: seed the flag defaults from the topology, so
- *  later flags override the file (two-layer configuration). */
-void
-applyTopology(Options &opt)
+/** The mitigation run.config names (checked when it was set). */
+sim::Mitigation
+mitigationOf(const Options &o)
 {
-    const sim::TopologyConfig &t = *opt.topo;
-    opt.workloads = t.workloads;
-    opt.mitigation = t.system.mitigation;
-    opt.seed = t.system.seed;
-    opt.channels = t.system.mc.org.channels;
-    opt.fakeTraffic = t.system.fakeTraffic;
-    opt.randomizeTiming = t.system.randomizeTiming;
-    opt.shapeCores = t.system.shapeCore;
-    opt.fastForward = t.system.fastForward;
-}
-
-void
-applyConfigFile(Options &opt, const std::string &path)
-{
-    opt.topo = sim::loadTopology(path);
-    applyTopology(opt);
-}
-
-/** --scenario: resolve the registered scenario's embedded topology
- *  (same two-layer override semantics as --config). */
-void
-applyScenario(Options &opt, const std::string &ref)
-{
-    opt.topo = sim::parseTopology(scenario::scenarioTopologyJson(ref));
-    applyTopology(opt);
+    const obs::json::Value *m = o.run.config.find("mitigation");
+    return m ? *sim::mitigationFromName(m->asString())
+             : sim::Mitigation::None;
 }
 
 const std::vector<FlagSpec> &
@@ -233,16 +192,36 @@ flagTable()
             o.*field = parseU64Flag(flag, v);
         };
     };
+    // A machine flag sets one key of the topology document.
+    auto setKey = [](const char *key, obs::json::Value value) {
+        return [key, value](Options &o, const std::string &) {
+            o.run.config[key] = value;
+        };
+    };
     static const std::vector<FlagSpec> table = {
         {"workloads", A::Value, "w0,w1,...",
          "one per core (default mcf,astar x3)",
          [](Options &o, const std::string &v) {
-             o.workloads = splitCommas(v);
+             // Replaces any "workload"/"cores" of the topology too.
+             obs::json::Value::Object doc = o.run.config.asObject();
+             doc.erase("workload");
+             doc.erase("cores");
+             obs::json::Value &names = doc["workloads"] =
+                 obs::json::Value::makeArray();
+             for (const std::string &w : splitCommas(v)) {
+                 if (!trace::isKnownWorkload(w))
+                     throw UsageError("unknown workload '" + w + "'");
+                 names.push(w);
+             }
+             o.run.config = std::move(doc);
          }},
         {"config", A::Value, "FILE",
          "JSON machine description (topology, bins,\nmitigation; see "
          "src/sim/topology.h); other\nflags override its values",
-         applyConfigFile},
+         [](Options &o, const std::string &v) {
+             o.run.config = sim::loadTopology(v);
+             o.haveConfig = true;
+         }},
         {"scenario", A::Value, "NAME[:VAR]",
          "run a registered attack scenario's\ntopology (variant open "
          "or shaped,\ndefault open); exclusive with --config;\nsee "
@@ -262,41 +241,50 @@ flagTable()
                      "' (expected none, cs, reqc, respc, bdc, tp, "
                      "or fs)");
              }
-             o.mitigation = *m;
+             o.run.config["mitigation"] = v;
          }},
         {"cycles", A::Value, "N", "measurement window (CPU cycles)",
-         u64(&Options::cycles, "--cycles")},
+         [](Options &o, const std::string &v) {
+             o.run.cycles = parseU64Flag("--cycles", v);
+         }},
         {"warmup", A::Value, "N", "warmup window before measuring",
-         u64(&Options::warmup, "--warmup")},
+         [](Options &o, const std::string &v) {
+             o.run.warmup = parseU64Flag("--warmup", v);
+         }},
         {"seed", A::Value, "N", "deterministic RNG seed",
          [](Options &o, const std::string &v) {
-             o.seed = parseU64Flag("--seed", v);
+             // A RunSpec seed of 0 keeps the topology's, so seed 0
+             // itself goes into the document. Others stay in the
+             // spec: a JSON number holds only 53 bits.
+             o.run.seed = parseU64Flag("--seed", v);
+             if (o.run.seed == 0)
+                 o.run.config["seed"] = std::uint64_t{0};
          }},
         {"channels", A::Value, "N", "DRAM channels (default 1)",
          [](Options &o, const std::string &v) {
-             o.channels = parseU32Flag("--channels", v);
+             o.run.config["channels"] =
+                 std::uint64_t{parseU32Flag("--channels", v)};
          }},
         {"no-fakes", A::Bare, "", "disable fake traffic generation",
-         [](Options &o, const std::string &) { o.fakeTraffic = false; }},
+         setKey("fake_traffic", false)},
         {"randomize-timing", A::Bare, "", "SIV-B4 random slack",
-         [](Options &o, const std::string &) {
-             o.randomizeTiming = true;
-         }},
+         setKey("randomize_timing", true)},
         {"shape-cores", A::Value, "i,j,...",
          "shape only the listed cores",
          [](Options &o, const std::string &v) {
-             o.shapeCores.assign(o.workloads.size(), false);
+             const std::size_t cores =
+                 sim::topologyFromJson(o.run.config).workloads.size();
+             obs::json::Value shaped = obs::json::Value::makeArray();
              for (const auto &idx : splitCommas(v)) {
                  const auto c = parseU64Flag("--shape-cores", idx);
-                 if (c >= o.shapeCores.size()) {
-                     throw UsageError(
-                         "--shape-cores index " + idx +
-                         " is out of range (have " +
-                         std::to_string(o.shapeCores.size()) +
-                         " cores)");
+                 if (c >= cores) {
+                     throw UsageError("--shape-cores index " + idx +
+                                      " is out of range (have " +
+                                      std::to_string(cores) + " cores)");
                  }
-                 o.shapeCores[static_cast<std::size_t>(c)] = true;
+                 shaped.push(c);
              }
+             o.run.config["shape_cores"] = std::move(shaped);
          }},
         {"ga", A::Bare, "",
          "tune bins online first\n(with --ga-gens=N --ga-pop=N)",
@@ -333,13 +321,11 @@ flagTable()
         {"no-fast-forward", A::Bare, "",
          "force the per-cycle loop (debugging;\nresults are identical "
          "either way)",
-         [](Options &o, const std::string &) { o.fastForward = false; }},
+         setKey("fast_forward", false)},
         {"csv", A::Bare, "", "machine-readable output",
          [](Options &o, const std::string &) { o.csv = true; }},
         {"trace", A::Value, "FILE", "cycle-stamped event trace",
          [](Options &o, const std::string &v) { o.traceFile = v; }},
-        {"trace-format", A::Value, "F", "jsonl (default) | csv | bin",
-         [](Options &o, const std::string &v) { o.traceFormat = v; }},
         {"stats-json", A::Value, "FILE",
          "hierarchical stats tree as JSON",
          [](Options &o, const std::string &v) { o.statsJsonFile = v; }},
@@ -361,25 +347,25 @@ flagTable()
                      "--checkers accepts only '=recover', got '" + v +
                      "'");
              }
-             o.checkers = true;
-             o.checkersRecover = !v.empty();
+             o.run.checkers = v.empty() ? sim::CheckerMode::On
+                                        : sim::CheckerMode::Recover;
          }},
         {"watchdog", A::Value, "N",
          "fail if a core with pending work\nmakes no progress for N "
          "cycles\n(exit 5, diagnostic dump on stderr)",
          [](Options &o, const std::string &v) {
-             o.watchdogWindow = parseU64Flag("--watchdog", v);
-             if (o.watchdogWindow == 0)
+             o.run.watchdog = parseU64Flag("--watchdog", v);
+             if (o.run.watchdog == 0)
                  throw UsageError("--watchdog window must be > 0");
          }},
         {"inject", A::Value, "SPEC",
          "fault-injection campaign, e.g.\n"
          "drop-resp:rate=0.001,wedge-req:at=9000",
-         [](Options &o, const std::string &v) { o.injectSpec = v; }},
+         [](Options &o, const std::string &v) { o.run.inject = v; }},
         {"inject-seed", A::Value, "N",
          "injection RNG seed (default --seed)",
          [](Options &o, const std::string &v) {
-             o.injectSeed = parseU64Flag("--inject-seed", v);
+             o.run.injectSeed = parseU64Flag("--inject-seed", v);
          }},
         {"diag-dir", A::Value, "DIR",
          "write watchdog/invariant/leakage\ndiagnostic dumps as "
@@ -499,7 +485,8 @@ Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
-    opt.workloads = {"mcf", "astar", "astar", "astar"};
+    opt.run.config["workloads"] =
+        obs::json::Value::Array{"mcf", "astar", "astar", "astar"};
 
     struct Action
     {
@@ -540,12 +527,13 @@ parseArgs(int argc, char **argv)
             a.spec->apply(opt, a.value);
     }
     if (!opt.scenarioRef.empty()) {
-        if (opt.topo) {
+        if (opt.haveConfig) {
             throw UsageError(
                 "--scenario and --config both supply a topology; "
                 "pick one");
         }
-        applyScenario(opt, opt.scenarioRef);
+        opt.run.config = sim::parseTopology(
+            scenario::scenarioTopologyJson(opt.scenarioRef));
     }
     for (const Action &a : actions) {
         if (a.spec->name != "config" && a.spec->name != "scenario")
@@ -556,24 +544,12 @@ parseArgs(int argc, char **argv)
 
     // Cross-flag validation (single-flag value checking lives in the
     // table rows above).
-    for (const auto &w : opt.workloads) {
-        if (!trace::isKnownWorkload(w))
-            throw UsageError("unknown workload '" + w + "'");
-    }
-    if (!opt.traceFormat.empty() && opt.traceFile.empty()) {
-        throw UsageError(
-            "--trace-format without --trace=FILE has no effect");
-    }
-    if (!opt.traceFormat.empty() && opt.traceFormat != "jsonl" &&
-        opt.traceFormat != "csv" && opt.traceFormat != "bin") {
-        throw UsageError("unknown trace format '" + opt.traceFormat +
-                         "' (expected jsonl, csv, or bin)");
-    }
+    const sim::Mitigation mitigation = mitigationOf(opt);
     if (!opt.intervalCsvFile.empty() && opt.intervalStats == 0)
         throw UsageError("--interval-csv needs --interval-stats=N");
-    if (opt.runGa && opt.mitigation != sim::Mitigation::BDC &&
-        opt.mitigation != sim::Mitigation::ReqC &&
-        opt.mitigation != sim::Mitigation::RespC) {
+    if (opt.runGa && mitigation != sim::Mitigation::BDC &&
+        mitigation != sim::Mitigation::ReqC &&
+        mitigation != sim::Mitigation::RespC) {
         throw UsageError(
             "--ga needs a Camouflage mitigation (reqc, respc, or "
             "bdc)");
@@ -596,194 +572,172 @@ parseArgs(int argc, char **argv)
                 "--chrome-trace, and --leakmon (single-run "
                 "observability outputs)");
         }
-        if (opt.checkers || opt.watchdogWindow > 0) {
+        if (opt.run.checkers != sim::CheckerMode::Off ||
+            opt.run.watchdog > 0) {
             throw UsageError(
                 "--sweep-seeds is incompatible with --checkers and "
                 "--watchdog (single-run hardening; --inject worker "
                 "faults still apply)");
         }
     }
-    if (opt.checkersRecover && opt.mitigation == sim::Mitigation::None)
+    if (opt.run.checkers == sim::CheckerMode::Recover &&
+        mitigation == sim::Mitigation::None)
         throw UsageError("--checkers=recover without a shaping "
                          "mitigation has nothing to degrade");
     return opt;
 }
 
-std::unique_ptr<obs::TraceSink>
-makeTraceSink(const std::string &format, std::ostream &os)
+/** --ga/--ga-offline: tune `cfg`'s per-core bins before the run. */
+void
+tuneBins(const Options &opt, sim::SystemConfig &cfg,
+         const std::vector<std::string> &workloads)
 {
-    if (format == "csv")
-        return std::make_unique<obs::CsvTraceSink>(os);
-    if (format == "bin")
-        return std::make_unique<obs::BinaryTraceSink>(os);
-    return std::make_unique<obs::JsonlTraceSink>(os);
+    ga::GaConfig ga_cfg;
+    ga_cfg.generations = opt.gaGenerations;
+    ga_cfg.populationSize = opt.gaPopulation;
+    if (!opt.csv)
+        std::printf("# tuning bins %s (%zu gens x %zu "
+                    "children)...\n",
+                    opt.gaOffline ? "offline" : "online",
+                    ga_cfg.generations, ga_cfg.populationSize);
+    const auto tuned =
+        opt.gaOffline
+            ? sim::runOfflineGa(cfg, workloads, ga_cfg, 20000, opt.jobs)
+            : sim::runOnlineGa(cfg, workloads, ga_cfg);
+    cfg.reqBinsPerCore = tuned.reqBinsPerCore;
+    cfg.respBinsPerCore = tuned.respBinsPerCore;
+    if (!opt.csv) {
+        std::printf("# GA leak bound: %.1f bits over %llu config "
+                    "cycles\n", tuned.configPhaseLeakBoundBits,
+                    static_cast<unsigned long long>(
+                        tuned.configPhaseCycles));
+    }
+}
+
+void
+printFaultsFired(const Options &opt, const hard::FaultInjector *injector)
+{
+    if (injector && injector->totalFired() > 0 && !opt.csv)
+        std::printf("# faults fired: %s\n", injector->summary().c_str());
+}
+
+/**
+ * --sweep-seeds: the same machine under K consecutive seeds, fanned
+ * across the worker pool. Worker faults from --inject hit individual
+ * jobs here (and are retried with re-derived seeds); system-level
+ * faults need a single run.
+ */
+int
+runSweep(const Options &opt)
+{
+    const sim::TopologyConfig topo = opt.run.topology();
+    sim::SystemConfig cfg = topo.system;
+    const auto injector = opt.run.faultInjector(cfg.seed);
+    if (opt.runGa)
+        tuneBins(opt, cfg, topo.workloads);
+
+    std::vector<sim::SimJob> batch;
+    for (std::uint32_t k = 0; k < opt.sweepSeeds; ++k) {
+        sim::SystemConfig c = cfg;
+        c.seed = cfg.seed + k;
+        batch.push_back({c, topo.workloads, opt.run.cycles, opt.run.warmup});
+    }
+    const auto runs =
+        sim::runConfigsParallel(batch, opt.jobs, injector.get());
+    printFaultsFired(opt, injector.get());
+    if (opt.csv) {
+        std::printf("seed,throughput\n");
+        for (std::uint32_t k = 0; k < opt.sweepSeeds; ++k)
+            std::printf("%llu,%.4f\n",
+                        static_cast<unsigned long long>(cfg.seed + k),
+                        runs[k].throughput());
+        return hard::kExitOk;
+    }
+    std::printf("%s", sim::systemBanner(cfg).c_str());
+    std::printf("# mitigation: %s, %u seeds from %llu, %llu cycles "
+                "(+%llu warmup)\n\n",
+                sim::mitigationName(cfg.mitigation), opt.sweepSeeds,
+                static_cast<unsigned long long>(cfg.seed),
+                static_cast<unsigned long long>(opt.run.cycles),
+                static_cast<unsigned long long>(opt.run.warmup));
+    std::printf("%8s %12s\n", "seed", "throughput");
+    double total = 0.0;
+    for (std::uint32_t k = 0; k < opt.sweepSeeds; ++k) {
+        total += runs[k].throughput();
+        std::printf("%8llu %12.3f\n",
+                    static_cast<unsigned long long>(cfg.seed + k),
+                    runs[k].throughput());
+    }
+    std::printf("\nmean throughput: %.3f\n",
+                total / static_cast<double>(opt.sweepSeeds));
+    return hard::kExitOk;
 }
 
 int
 runCamosim(const Options &opt)
 {
-    // Three configuration layers: paper defaults, then the --config
-    // file (when given), then explicit flags (already folded into opt
-    // by parseArgs).
-    sim::SystemConfig cfg =
-        opt.topo ? opt.topo->system : sim::paperConfig();
-    cfg.numCores = static_cast<std::uint32_t>(opt.workloads.size());
-    cfg.mitigation = opt.mitigation;
-    cfg.seed = opt.seed;
-    cfg.mc.org.channels = opt.channels;
-    cfg.fakeTraffic = opt.fakeTraffic;
-    cfg.randomizeTiming = opt.randomizeTiming;
-    cfg.shapeCore = opt.shapeCores;
-    cfg.fastForward = opt.fastForward;
-
-    // Fault-injection campaign (spec parse errors are ConfigErrors).
-    std::unique_ptr<hard::FaultInjector> injector;
-    if (!opt.injectSpec.empty()) {
-        const hard::FaultPlan plan = hard::FaultPlan::parse(
-            opt.injectSpec,
-            opt.injectSeed ? opt.injectSeed : opt.seed);
-        injector = std::make_unique<hard::FaultInjector>(plan);
-    }
-
-    if (opt.runGa) {
-        ga::GaConfig ga_cfg;
-        ga_cfg.generations = opt.gaGenerations;
-        ga_cfg.populationSize = opt.gaPopulation;
-        if (!opt.csv)
-            std::printf("# tuning bins %s (%zu gens x %zu "
-                        "children)...\n",
-                        opt.gaOffline ? "offline" : "online",
-                        ga_cfg.generations, ga_cfg.populationSize);
-        const auto tuned =
-            opt.gaOffline
-                ? sim::runOfflineGa(cfg, opt.workloads, ga_cfg, 20000,
-                                    opt.jobs)
-                : sim::runOnlineGa(cfg, opt.workloads, ga_cfg);
-        cfg.reqBinsPerCore = tuned.reqBinsPerCore;
-        cfg.respBinsPerCore = tuned.respBinsPerCore;
-        if (!opt.csv) {
-            std::printf("# GA leak bound: %.1f bits over %llu config "
-                        "cycles\n", tuned.configPhaseLeakBoundBits,
-                        static_cast<unsigned long long>(
-                            tuned.configPhaseCycles));
-        }
-    }
-
-    if (opt.sweepSeeds > 0) {
-        // Replica sweep: same configuration under K consecutive
-        // seeds, fanned across the worker pool. Worker faults from
-        // --inject hit individual jobs here (and are retried with
-        // re-derived seeds); system-level faults need a single run.
-        std::vector<sim::SimJob> batch;
-        for (std::uint32_t k = 0; k < opt.sweepSeeds; ++k) {
-            sim::SystemConfig c = cfg;
-            c.seed = opt.seed + k;
-            batch.push_back({c, opt.workloads, opt.cycles, opt.warmup});
-        }
-        const auto runs =
-            sim::runConfigsParallel(batch, opt.jobs, injector.get());
-        if (injector && injector->totalFired() > 0 && !opt.csv)
-            std::printf("# faults fired: %s\n",
-                        injector->summary().c_str());
-        if (opt.csv) {
-            std::printf("seed,throughput\n");
-            for (std::uint32_t k = 0; k < opt.sweepSeeds; ++k)
-                std::printf("%llu,%.4f\n",
-                            static_cast<unsigned long long>(opt.seed + k),
-                            runs[k].throughput());
-            return hard::kExitOk;
-        }
-        std::printf("%s", sim::systemBanner(cfg).c_str());
-        std::printf("# mitigation: %s, %u seeds from %llu, %llu cycles "
-                    "(+%llu warmup)\n\n",
-                    sim::mitigationName(opt.mitigation), opt.sweepSeeds,
-                    static_cast<unsigned long long>(opt.seed),
-                    static_cast<unsigned long long>(opt.cycles),
-                    static_cast<unsigned long long>(opt.warmup));
-        std::printf("%8s %12s\n", "seed", "throughput");
-        double total = 0.0;
-        for (std::uint32_t k = 0; k < opt.sweepSeeds; ++k) {
-            total += runs[k].throughput();
-            std::printf("%8llu %12.3f\n",
-                        static_cast<unsigned long long>(opt.seed + k),
-                        runs[k].throughput());
-        }
-        std::printf("\nmean throughput: %.3f\n",
-                    total / static_cast<double>(opt.sweepSeeds));
-        return hard::kExitOk;
-    }
-
-    sim::System system(sim::SystemPlan(cfg, opt.workloads));
-
-    if (opt.checkers) {
-        hard::CheckerConfig hc;
-        hc.recoverShaper = opt.checkersRecover;
-        system.enableCheckers(hc);
-    }
-    if (opt.watchdogWindow > 0) {
-        hard::WatchdogConfig wc;
-        wc.window = opt.watchdogWindow;
-        system.enableWatchdog(wc);
-    }
-    if (injector)
-        system.setFaultInjector(injector.get());
-    if (!opt.diagDir.empty())
-        system.setDiagnosticDir(opt.diagDir);
+    if (opt.sweepSeeds > 0)
+        return runSweep(opt);
 
     std::ofstream trace_os;
-    if (!opt.traceFile.empty()) {
-        const std::string format =
-            opt.traceFormat.empty() ? "jsonl" : opt.traceFormat;
-        trace_os.open(opt.traceFile, format == "bin"
-                                         ? std::ios::out | std::ios::binary
-                                         : std::ios::out);
-        if (!trace_os)
-            camo_fatal("cannot open trace file: ", opt.traceFile);
-        system.tracer().setSink(makeTraceSink(format, trace_os));
-        system.tracer().setEnabled(true);
-    }
-    // The writer must outlive the run: the sink streams into it from
-    // inside the loop, and the profile spans are appended after.
     std::ofstream chrome_os;
     std::unique_ptr<obs::ChromeTraceWriter> chrome_writer;
-    if (!opt.chromeTraceFile.empty()) {
-        chrome_os.open(opt.chromeTraceFile);
-        if (!chrome_os)
-            camo_fatal("cannot open chrome-trace file: ",
-                       opt.chromeTraceFile);
-        chrome_writer =
-            std::make_unique<obs::ChromeTraceWriter>(chrome_os);
-        system.tracer().setSink(std::make_unique<obs::ChromeTraceSink>(
-            *chrome_writer, cfg.numCores));
-        system.tracer().setEnabled(true);
-    }
-    if (opt.leakmon) {
-        // Before enableIntervalStats, so the interval series grows a
-        // leakmon.window_mi_bits column.
-        obs::LeakMonitorConfig lc;
-        lc.core = opt.leakmonCore;
-        lc.alertThresholdBits = opt.leakmonThreshold;
-        if (opt.leakmonWindow > 0) {
-            lc.windowCycles = opt.leakmonWindow;
-            lc.checkPeriod = std::max<Cycle>(1, opt.leakmonWindow / 5);
-        }
-        system.enableLeakMonitor(lc);
-    }
-    if (opt.intervalStats > 0)
-        system.enableIntervalStats(opt.intervalStats);
-
     obs::Profiler prof;
-    if (opt.profile)
-        system.setProfiler(&prof);
-
-    const obs::Profiler::Timer wall;
-    const auto m = sim::runAndMeasure(system, opt.cycles, opt.warmup);
-    const std::uint64_t wall_ns = wall.elapsedNs();
-
-    // End-of-run lifecycle audit: a dropped response shows up here as
-    // a leaked (never-retired) request even without the watchdog.
-    if (opt.checkers)
-        system.checkForLeaks();
+    std::optional<obs::Profiler::Timer> wall;
+    sim::RunHooks hooks;
+    if (opt.runGa) {
+        hooks.configure = [&opt](sim::SystemConfig &cfg,
+                                 const std::vector<std::string> &w) {
+            tuneBins(opt, cfg, w);
+        };
+    }
+    // The sink streams and the Chrome writer outlive the run: the
+    // sinks write into them from inside the loop, and the profile
+    // spans are appended after.
+    hooks.attach = [&](sim::System &system, hard::FaultInjector *) {
+        if (!opt.traceFile.empty()) {
+            trace_os.open(opt.traceFile);
+            if (!trace_os)
+                camo_fatal("cannot open trace file: ", opt.traceFile);
+            system.tracer().setSink(
+                std::make_unique<obs::JsonlTraceSink>(trace_os));
+            system.tracer().setEnabled(true);
+        }
+        if (!opt.chromeTraceFile.empty()) {
+            chrome_os.open(opt.chromeTraceFile);
+            if (!chrome_os)
+                camo_fatal("cannot open chrome-trace file: ",
+                           opt.chromeTraceFile);
+            chrome_writer =
+                std::make_unique<obs::ChromeTraceWriter>(chrome_os);
+            system.tracer().setSink(std::make_unique<obs::ChromeTraceSink>(
+                *chrome_writer, system.numCores()));
+            system.tracer().setEnabled(true);
+        }
+        if (opt.leakmon) {
+            // Before enableIntervalStats, so the interval series grows a
+            // leakmon.window_mi_bits column.
+            obs::LeakMonitorConfig lc;
+            lc.core = opt.leakmonCore;
+            lc.alertThresholdBits = opt.leakmonThreshold;
+            if (opt.leakmonWindow > 0) {
+                lc.windowCycles = opt.leakmonWindow;
+                lc.checkPeriod = std::max<Cycle>(1, opt.leakmonWindow / 5);
+            }
+            system.enableLeakMonitor(lc);
+        }
+        if (opt.intervalStats > 0)
+            system.enableIntervalStats(opt.intervalStats);
+        if (opt.profile)
+            system.setProfiler(&prof);
+        wall.emplace();
+    };
+    const sim::SpecRun run = sim::runSpec(opt.run, hooks, opt.diagDir);
+    const std::uint64_t wall_ns = wall->elapsedNs();
+    sim::System &system = *run.system;
+    const sim::SystemConfig &cfg = system.config();
+    const sim::RunMetrics &m = run.metrics;
+    const std::vector<std::string> &workloads = run.workloads;
 
     if (!opt.traceFile.empty() || chrome_writer)
         system.tracer().flush();
@@ -820,22 +774,19 @@ runCamosim(const Options &opt)
         std::ofstream os(opt.statsJsonFile);
         if (!os)
             camo_fatal("cannot open stats file: ", opt.statsJsonFile);
-        os << sim::summaryJson(system, opt.workloads,
-                               !opt.traceFile.empty())
+        os << sim::summaryJson(system, workloads, !opt.traceFile.empty())
                   .dump(2)
            << "\n";
     }
 
-    if (injector && injector->totalFired() > 0 && !opt.csv)
-        std::printf("# faults fired: %s\n",
-                    injector->summary().c_str());
+    printFaultsFired(opt, run.injector.get());
 
     if (opt.csv) {
         std::printf("core,workload,ipc,retired,served_reads,"
                     "avg_read_latency,alpha\n");
         for (std::size_t i = 0; i < m.ipc.size(); ++i) {
             std::printf("%zu,%s,%.4f,%llu,%llu,%.1f,%.3f\n", i,
-                        opt.workloads[i].c_str(), m.ipc[i],
+                        workloads[i].c_str(), m.ipc[i],
                         static_cast<unsigned long long>(m.retired[i]),
                         static_cast<unsigned long long>(
                             m.servedReads[i]),
@@ -847,16 +798,16 @@ runCamosim(const Options &opt)
     std::printf("%s", sim::systemBanner(cfg).c_str());
     std::printf("# mitigation: %s, %llu cycles (+%llu warmup), "
                 "seed %llu\n\n",
-                sim::mitigationName(opt.mitigation),
-                static_cast<unsigned long long>(opt.cycles),
-                static_cast<unsigned long long>(opt.warmup),
-                static_cast<unsigned long long>(opt.seed));
+                sim::mitigationName(cfg.mitigation),
+                static_cast<unsigned long long>(opt.run.cycles),
+                static_cast<unsigned long long>(opt.run.warmup),
+                static_cast<unsigned long long>(cfg.seed));
     std::printf("%4s %-14s %8s %12s %10s %10s %7s\n", "core",
                 "workload", "IPC", "retired", "reads", "avg lat",
                 "alpha");
     for (std::size_t i = 0; i < m.ipc.size(); ++i) {
         std::printf("%4zu %-14s %8.3f %12llu %10llu %10.1f %7.3f\n", i,
-                    opt.workloads[i].c_str(), m.ipc[i],
+                    workloads[i].c_str(), m.ipc[i],
                     static_cast<unsigned long long>(m.retired[i]),
                     static_cast<unsigned long long>(m.servedReads[i]),
                     m.avgReadLatency[i], m.alpha[i]);

@@ -58,12 +58,10 @@ struct Cli
     std::string socket;
     std::string command;
     std::string configFile;
-    std::string inject;
     std::uint64_t id = 0;
     bool haveId = false;
     std::uint64_t waitMs = 0;
     bool wait = false;
-    bool checkers = false;
     server::JobSpec spec;
     obs::json::Value limits = obs::json::Value::makeObject();
 };
@@ -121,7 +119,7 @@ main(int argc, char **argv)
         } else if (name == "inject") {
             cli.spec.inject = value;
         } else if (name == "checkers" && value.empty()) {
-            cli.spec.checkers = true;
+            cli.spec.checkers = sim::CheckerMode::On;
         } else if (name == "wait") {
             cli.wait = true;
             cli.waitMs = value.empty() ? 600000 : n.value_or(0);
